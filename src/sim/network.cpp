@@ -21,39 +21,31 @@ namespace {
 constexpr std::int64_t kNeverMicros = std::numeric_limits<std::int64_t>::max();
 constexpr SimTime kNever = SimTime::from_micros(kNeverMicros);
 
-// The ONE synchronization point per window of the sharded run loop (the
-// old protocol paid two global barriers per window: one separating event
-// processing from the mailbox drain, one around a serial advance that
-// re-heapified every inbox).  Sense-reversing barrier with a dynamic party
-// count: the last arriver runs `completion` (the window advance) before
-// releasing the others, so the release/acquire pair on gen_ publishes the
-// completion's plain writes to every worker.  The completion may call
-// set_parties() to fuse provably idle workers out of the next rendezvous
-// (window fusion) and to re-admit them — it runs while every other member
-// is blocked on gen_ and woken workers only re-arrive after their wake
-// flag is released, so the adjustment is race-free.  Windows are short
-// (tens of microseconds of work), so a bounded spin catches the common
-// release; past that the waiter parks on the futex — unbounded
-// yield-spinning on an oversubscribed or small-core host turns every
-// barrier into a scheduler fight.
+// The ONE synchronization point per window of the sharded run loop.
+// Sense-reversing barrier over a fixed party count: the last arriver runs
+// `completion` (the window advance) before releasing the others, so the
+// release/acquire pair on gen_ publishes the completion's plain writes to
+// every worker.  Windows are short (tens of microseconds of work), so a
+// bounded spin catches the common release; past that the waiter parks on
+// the futex — unbounded yield-spinning on an oversubscribed or small-core
+// host turns every barrier into a scheduler fight.
 class WindowGate {
  public:
   explicit WindowGate(unsigned parties) : parties_(parties) {}
 
-  /// Returns true for the last arriver (which ran `completion`).
   template <typename F>
-  bool arrive_and_wait(F&& completion) {
+  void arrive_and_wait(F&& completion) {
     const unsigned gen = gen_.load(std::memory_order_acquire);
     const unsigned arrived = arrived_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (arrived == parties_.load(std::memory_order_relaxed)) {
+    if (arrived == parties_) {
       completion();
       arrived_.store(0, std::memory_order_relaxed);
       gen_.store(gen + 1, std::memory_order_release);
       gen_.notify_all();
-      return true;
+      return;
     }
     for (int spin = 0; spin < 256; ++spin) {
-      if (gen_.load(std::memory_order_acquire) != gen) return false;
+      if (gen_.load(std::memory_order_acquire) != gen) return;
       std::this_thread::yield();
     }
     unsigned cur = gen_.load(std::memory_order_acquire);
@@ -61,33 +53,13 @@ class WindowGate {
       gen_.wait(cur, std::memory_order_acquire);
       cur = gen_.load(std::memory_order_acquire);
     }
-    return false;
-  }
-
-  /// Completion-context only: adjusts the membership for the next window.
-  void set_parties(unsigned parties) {
-    parties_.store(parties, std::memory_order_relaxed);
-  }
-  [[nodiscard]] unsigned parties() const {
-    return parties_.load(std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<unsigned> parties_;
+  const unsigned parties_;
   std::atomic<unsigned> arrived_{0};
   std::atomic<unsigned> gen_{0};
 };
-
-// A worker parked out of the rendezvous waits on its own line-padded flag
-// so wake notifications never collide with barrier traffic.
-struct alignas(64) ParkFlag {
-  std::atomic<std::uint32_t> v{0};
-};
-
-// Window-fusion safety valve: a worker may stay fused out of the
-// rendezvous only this many consecutive windows before the advance
-// re-admits it regardless (bounds how far its published view may trail).
-constexpr std::uint64_t kMaxFusedWindows = 64;
 
 // Node-arena slab size; a node object is a few hundred bytes, so one slab
 // holds hundreds of nodes and a 1M-MS topology needs a few thousand slabs.
@@ -898,8 +870,9 @@ void Network::merge_shard_buffers() {
   }
 
   if (shard_stats_) {
-    // Wall-clock profile instruments.  Gated: these are scheduling-dependent
-    // and must never reach a determinism-checked snapshot.
+    // Shard profile instruments.  Gated: the *_ns timers are scheduling-
+    // dependent and must never reach a determinism-checked snapshot.
+    // fused_windows counts the windows the shard sat out quiet.
     for (auto& sh : shards_) {
       const ShardPerfStats& p = sh->perf;
       const std::string pre = "shard/" + std::to_string(sh->index) + "/";
@@ -931,28 +904,13 @@ std::size_t Network::run_windowed(SimTime limit) {
   // Worker w owns every shard s with s % W == w, all windows long — a
   // shard's events are always executed by the same thread, in the same heap
   // order, whatever W is; only wall-clock interleaving changes.
-  struct alignas(64) WorkerSlot {
-    bool parked = false;
-    std::uint64_t fused_run = 0;  // consecutive windows skipped so far
-  };
-  std::vector<WorkerSlot> wslot(W);
-  auto park = std::make_unique<ParkFlag[]>(W);
-
   struct Ctl {
     SimTime t_end;
-    // Atomic: a worker parked out of generation G still runs its
-    // post-barrier bookkeeping while generation G+1's completion (which it
-    // is no longer a member of) may be writing `done`.  The flag alone is
-    // racy-read-tolerant — a stale false just re-checks after the ordered
-    // park/gate handoff — so relaxed everywhere.
-    std::atomic<bool> done{false};
-    std::uint64_t windows = 0;  // windows decided so far
-    std::vector<unsigned> wake_list;
+    bool done = false;  // written by the advance, published by the gate
     std::exception_ptr error;
     std::mutex error_mu;
   } ctl;
   std::vector<std::int64_t> eff_next_us(num_shards);
-  unsigned next_parties = W;  // awake-worker count for the next window
 
   // The serial slice of the window protocol, run once per window by the
   // single barrier's last arriver.  Adaptive conservative window: shard s,
@@ -966,27 +924,17 @@ std::size_t Network::run_windowed(SimTime limit) {
   // with no active cross-shard constraint at all, one window runs to the
   // limit.
   //
-  // eff_next_s folds in committed-but-undrained ring events (a parked owner
-  // never drains, and even an awake owner only drains at its next window
+  // eff_next_s folds in committed-but-undrained ring events (a quiet shard
+  // is not drained, and even an active one only drains at its next window
   // start).  Scanning the rings here is safe: commit records are producer-
   // written during the window and advance-read at the barrier, when every
   // producer is quiescent — never concurrently.
   auto advance = [&] {
-    auto wake_all = [&] {
-      for (unsigned x = 0; x < W; ++x) {
-        if (wslot[x].parked) {
-          wslot[x].parked = false;
-          ctl.wake_list.push_back(x);
-        }
-      }
-    };
-    {
-      std::lock_guard<std::mutex> lock(ctl.error_mu);
-      if (ctl.error) {
-        ctl.done.store(true, std::memory_order_relaxed);
-        wake_all();
-        return;
-      }
+    // Every worker that could have stored an error arrived before this
+    // completion ran, so the read needs no lock.
+    if (ctl.error) {
+      ctl.done = true;
+      return;
     }
     for (std::uint32_t d = 0; d < num_shards; ++d) {
       std::int64_t eff = shards_[d]->next_at.count_micros();
@@ -1000,8 +948,7 @@ std::size_t Network::run_windowed(SimTime limit) {
     for (std::uint32_t d = 0; d < num_shards; ++d)
       t_us = std::min(t_us, eff_next_us[d]);
     if (t_us >= kNeverMicros || t_us > limit.count_micros()) {
-      ctl.done.store(true, std::memory_order_relaxed);
-      wake_all();
+      ctl.done = true;
       return;
     }
     // Cap one tick past the (inclusive) limit; all arithmetic saturates.
@@ -1025,147 +972,67 @@ std::size_t Network::run_windowed(SimTime limit) {
     // The shard holding the global minimum T contributes T + la > T, so the
     // window always admits at least one event and the loop makes progress.
     ctl.t_end = SimTime::from_micros(end_us);
-    ++ctl.windows;
-
-    // Window fusion: a worker whose owned shards are all quiet below the
-    // window end (no heap event, no undrained inbound event) has nothing to
-    // run AND nothing to drain, so it skips the rendezvous entirely —
-    // parked workers don't arrive at the barrier (parties shrinks) and are
-    // woken when a shard of theirs goes active again.  kMaxFusedWindows
-    // bounds the run so a long-parked worker still touches its clock.
-    for (unsigned x = 0; x < W; ++x) {
-      bool quiet = true;
-      for (std::uint32_t s = x; s < num_shards; s += W) {
-        if (eff_next_us[s] < end_us) {
-          quiet = false;
-          break;
-        }
-      }
-      if (wslot[x].parked) {
-        if (!quiet || wslot[x].fused_run >= kMaxFusedWindows) {
-          wslot[x].parked = false;
-          wslot[x].fused_run = 0;
-          ctl.wake_list.push_back(x);
-        } else {
-          ++wslot[x].fused_run;
-          for (std::uint32_t s = x; s < num_shards; s += W)
-            ++shards_[s]->perf.fused_windows;
-        }
-      } else if (quiet && W > 1) {
-        wslot[x].parked = true;
-        wslot[x].fused_run = 1;
-        park[x].v.store(1, std::memory_order_relaxed);
-        for (std::uint32_t s = x; s < num_shards; s += W)
-          ++shards_[s]->perf.fused_windows;
-      }
+    for (std::uint32_t s = 0; s < num_shards; ++s) {
+      if (eff_next_us[s] >= end_us) ++shards_[s]->perf.fused_windows;
     }
-    unsigned awake = 0;
-    for (unsigned x = 0; x < W; ++x) {
-      if (!wslot[x].parked) ++awake;
-    }
-    next_parties = awake;  // applied by the gate after this completion
   };
 
   advance();
-  if (!ctl.done.load(std::memory_order_relaxed)) {
-    // The initial advance may already have parked workers whose shards are
-    // quiet below the first window; they wait on their flags from the
-    // start, so the gate opens with only the awake membership.
-    WindowGate gate(next_parties);
-    ctl.wake_list.clear();  // nobody is blocked yet; flags alone suffice
-    auto perf_now = [] {
-      return std::chrono::steady_clock::now();
+  if (!ctl.done) {
+    WindowGate gate(W);
+    using Clock = std::chrono::steady_clock;
+    auto stamp = [this] {
+      return shard_stats_ ? Clock::now() : Clock::time_point{};
+    };
+    auto ns = [](Clock::duration d) {
+      return static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
     };
     auto worker = [&](unsigned w) {
-      // Wakes this worker's completion decided, swapped out of ctl.wake_list
-      // *inside* the gate (completions are serialized, so that access is
-      // exclusive) and processed after release from this private copy.  The
-      // completion runner may have parked itself out of the next generation,
-      // so the shared list could otherwise be pushed to by the next
-      // completion while this one is still draining it — and a wake issued
-      // from someone else's batch would hand the woken worker a park-flag
-      // release that doesn't carry the deciding advance's writes.
-      std::vector<unsigned> my_wakes;
+      const std::uint64_t owned = (num_shards - w + W - 1) / W;
       while (true) {
-        if (park[w].v.load(std::memory_order_acquire) != 0) {
-          const auto t0 = perf_now();
-          while (park[w].v.load(std::memory_order_acquire) != 0) {
-            park[w].v.wait(1, std::memory_order_acquire);
-          }
-          if (shard_stats_) {
-            const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                perf_now() - t0)
-                                .count();
-            for (std::uint32_t s = w; s < num_shards; s += W)
-              shards_[s]->perf.idle_ns += static_cast<std::uint64_t>(ns);
-          }
-        }
-        if (ctl.done.load(std::memory_order_relaxed)) return;
-        // Per-shard spans are timed individually (only when stats are on):
-        // attributing one sweep-wide span to every owned shard would
-        // overcount by the owned-shard count and make the report's totals
-        // exceed wall time.
-        for (std::uint32_t s = w; s < num_shards; s += W) {
-          const auto t0 =
-              shard_stats_ ? perf_now() : std::chrono::steady_clock::time_point{};
-          drain_inboxes(*shards_[s]);
-          if (shard_stats_) {
-            const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                perf_now() - t0)
-                                .count();
-            shards_[s]->perf.drain_ns += static_cast<std::uint64_t>(ns);
-          }
-        }
+        // Only the shards the advance found active run.  A quiet shard has
+        // no heap event and no committed inbound event below t_end, and
+        // nothing sent during this window can land below it (lookahead), so
+        // its inboxes stay undrained: the advance keeps seeing them, and
+        // the shard turns active in the first window whose end passes its
+        // earliest event.
         const SimTime t_end = ctl.t_end;
+        bool ran = false;
         for (std::uint32_t s = w; s < num_shards; s += W) {
-          const auto t0 =
-              shard_stats_ ? perf_now() : std::chrono::steady_clock::time_point{};
+          if (eff_next_us[s] >= t_end.count_micros()) continue;
+          ran = true;
+          Shard& sh = *shards_[s];
+          const auto t0 = stamp();
+          drain_inboxes(sh);
+          const auto t1 = stamp();
           try {
-            process_window(*shards_[s], t_end);
+            process_window(sh, t_end);
           } catch (...) {
-            // Keep participating in the barrier (abandoning would wedge
-            // the other workers); the next advance() sees the error and
-            // stops everyone.
+            // Keep arriving at the gate (abandoning would wedge the other
+            // workers); the next advance() sees the error and stops all.
             std::lock_guard<std::mutex> lock(ctl.error_mu);
             if (!ctl.error) ctl.error = std::current_exception();
           }
-          if (shard_stats_) {
-            const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                perf_now() - t0)
-                                .count();
-            shards_[s]->perf.busy_ns += static_cast<std::uint64_t>(ns);
-          }
-        }
-        for (std::uint32_t s = w; s < num_shards; s += W) {
-          Shard& sh = *shards_[s];
+          const auto t2 = stamp();
           commit_outboxes(sh);
           sh.next_at = sh.queue.empty() ? kNever : sh.queue.top().at;
-        }
-        const auto t0 = perf_now();
-        const bool last = gate.arrive_and_wait([&] {
-          advance();
-          my_wakes.swap(ctl.wake_list);
-          gate.set_parties(next_parties);
-        });
-        if (shard_stats_) {
-          const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              perf_now() - t0)
-                              .count();
-          for (std::uint32_t s = w; s < num_shards; s += W)
-            shards_[s]->perf.barrier_ns += static_cast<std::uint64_t>(ns);
-        }
-        if (last && !my_wakes.empty()) {
-          // Wakes happen after the gate released this generation, so a
-          // woken worker's next arrival can't race the reset of the
-          // arrival counter.  The release-store publishes this thread's own
-          // advance (t_end, done, wslot) to the woken worker's acquire.
-          for (unsigned x : my_wakes) {
-            park[x].v.store(0, std::memory_order_release);
-            park[x].v.notify_all();
+          if (shard_stats_) {
+            sh.perf.busy_ns += ns(t2 - t1);
+            sh.perf.drain_ns += ns(t1 - t0) + ns(Clock::now() - t2);
           }
-          my_wakes.clear();
         }
-        if (ctl.done.load(std::memory_order_relaxed)) return;
+        const auto t0 = stamp();
+        gate.arrive_and_wait(advance);
+        if (shard_stats_) {
+          // The worker's one wait, split evenly over the shards it owns.
+          const std::uint64_t share = ns(Clock::now() - t0) / owned;
+          for (std::uint32_t s = w; s < num_shards; s += W) {
+            ShardPerfStats& p = shards_[s]->perf;
+            (ran ? p.barrier_ns : p.idle_ns) += share;
+          }
+        }
+        if (ctl.done) return;
       }
     };
     if (W == 1) {

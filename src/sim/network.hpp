@@ -86,15 +86,16 @@ struct NetworkStats {
 /// the window protocol, which is worker-count-invariant); the *_ns wall-clock
 /// timers are only collected when enable_shard_stats(true) was called and are
 /// inherently scheduling-dependent.  barrier_ns/idle_ns are measured per
-/// worker and attributed evenly across the shards that worker owns.
+/// worker and attributed evenly across the shards that worker owns, so the
+/// four timers summed over all shards never exceed workers x wall time.
 struct ShardPerfStats {
   std::uint64_t windows = 0;        // windows in which >= 1 event dispatched
   std::uint64_t events = 0;         // events dispatched
-  std::uint64_t fused_windows = 0;  // rendezvous skipped while provably idle
+  std::uint64_t fused_windows = 0;  // windows sat out quiet (none due)
   std::uint64_t busy_ns = 0;        // dispatching events
   std::uint64_t drain_ns = 0;       // inbox drain + outbox commit
-  std::uint64_t barrier_ns = 0;     // waiting at the window rendezvous
-  std::uint64_t idle_ns = 0;        // parked (fused out of the rendezvous)
+  std::uint64_t barrier_ns = 0;     // owner's gate wait, windows it ran a shard
+  std::uint64_t idle_ns = 0;        // owner's gate wait, windows it ran none
 };
 
 class Network {
@@ -464,7 +465,7 @@ class Network {
 
     /// Bulk commit of the window's staged batch.  Compacts records whose
     /// events the consumer has already drained (upto <= drained), keeping
-    /// the commit log O(windows the consumer has been parked), not O(run
+    /// the commit log O(windows the consumer sat out quiet), not O(run
     /// length).  A concurrent drain only makes the compaction conservative.
     void commit() {
       if (appended == committed_local) return;

@@ -4,18 +4,20 @@
 // driven by 1, 2, 4 and 8 workers, and the canonical trace is compared
 // byte-for-byte against the SAME goldens the sequential engine is pinned
 // to.  A race, a mis-ordered mailbox commit, a window that admits an event
-// it should not, or a fused window that skipped a rendezvous it needed all
-// show up as a golden diff here.
+// it should not, or a shard that sat out a window it had work in all show
+// up as a golden diff here.
 //
 // This test never regenerates goldens — test_golden_trace owns them.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,21 @@ void expect_golden(const std::string& name, const std::string& actual,
     }
   }
 }
+
+// Forwards every message it receives to `peer` until `remaining` runs out;
+// throws instead when `remaining` reaches `fail_at`.
+struct Relay final : public Node {
+  using Node::Node;
+  NodeId peer;
+  std::int64_t remaining = 0;
+  std::int64_t fail_at = -1;
+  void on_message(const Envelope& env) override {
+    if (remaining == fail_at) {
+      throw std::runtime_error("relay failure in " + name());
+    }
+    if (remaining-- > 0) send(peer, MessagePtr(env.msg->clone()));
+  }
+};
 
 VgprsParams sharded_vgprs_params(unsigned workers) {
   VgprsParams params;
@@ -375,21 +392,13 @@ TEST(ShardedEngine, LookaheadRetuneScansOnlyDirtyShards) {
 // advance — not a zero-length window that would spin the barrier forever.
 TEST(ShardedEngine, NoActiveCrossShardLinksFallsBackToFullWindow) {
   register_all_messages();
-  struct Echo final : public Node {
-    using Node::Node;
-    NodeId peer;
-    std::int64_t remaining = 0;
-    void on_message(const Envelope& env) override {
-      if (remaining-- > 0) send(peer, MessagePtr(env.msg->clone()));
-    }
-  };
   std::vector<std::uint64_t> delivered;
+  std::vector<std::uint64_t> island_quiet;
   for (unsigned w : kWorkerCounts) {
     Network net(1);
-    auto& a = net.add<Echo>("a");
-    auto& b = net.add<Echo>("b");
-    auto& island = net.add<Echo>("island");
-    (void)island;
+    auto& a = net.add<Relay>("a");
+    auto& b = net.add<Relay>("b");
+    auto& island = net.add<Relay>("island");
     net.connect(a, b, LinkProfile{});
     a.peer = b.id();
     b.peer = a.id();
@@ -403,19 +412,105 @@ TEST(ShardedEngine, NoActiveCrossShardLinksFallsBackToFullWindow) {
     net.send(a.id(), b.id(), ping);
     net.run_until_idle();
     delivered.push_back(net.stats().messages_delivered);
-    // With more than one worker the island's owner is provably quiet every
-    // window and must fuse (park) instead of joining each rendezvous.
+    // The island is quiet in every window and sits each one out; the
+    // advance counts that, so the count is the same at every worker count.
     const std::vector<ShardPerfStats> perf = net.shard_perf();
     ASSERT_EQ(perf.size(), 2u);
     EXPECT_EQ(perf[1].events, 0u);
-    if (w > 1) {
-      EXPECT_GT(perf[1].fused_windows, 0u);
-    }
+    EXPECT_GT(perf[1].fused_windows, 0u);
+    island_quiet.push_back(perf[1].fused_windows);
   }
   ASSERT_EQ(delivered.size(), kNumWorkerCounts);
   EXPECT_GT(delivered[0], 400u);
   for (std::size_t i = 1; i < delivered.size(); ++i) {
     EXPECT_EQ(delivered[0], delivered[i]);
+    EXPECT_EQ(island_quiet[0], island_quiet[i])
+        << "quiet-window count differs between 1 and " << kWorkerCounts[i]
+        << " workers";
+  }
+}
+
+// The shard timers cut each worker's wall time into pieces: busy and drain
+// per shard, and the gate wait split evenly over the shards the worker owns.
+// Summed over all shards they can never exceed workers x wall time, however
+// the load is spread.  A token circling eight single-node shards keeps one
+// shard busy per window while every other shard sits it out, so nearly all
+// of each worker's time is spent waiting at the gate.
+TEST(ShardedEngine, ShardStatTimersFitInWorkerWallTime) {
+  register_all_messages();
+  constexpr std::size_t kRing = 8;
+  for (unsigned w : {2u, 4u}) {
+    Network net(1);
+    std::vector<Relay*> ring;
+    std::vector<std::vector<NodeId>> groups;
+    for (std::size_t i = 0; i < kRing; ++i) {
+      ring.push_back(&net.add<Relay>("r" + std::to_string(i)));
+      groups.push_back({ring.back()->id()});
+    }
+    for (std::size_t i = 0; i < kRing; ++i) {
+      Relay& next = *ring[(i + 1) % kRing];
+      net.connect(*ring[i], next, LinkProfile{});
+      ring[i]->peer = next.id();
+      ring[i]->remaining = 500;
+    }
+    net.set_shards(groups);
+    net.set_workers(w);
+    net.enable_shard_stats(true);
+    net.send(ring[0]->id(), ring[1]->id(),
+             std::make_shared<UmPagingRequest>());
+    const auto t0 = std::chrono::steady_clock::now();
+    net.run_until_idle();
+    const auto wall_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    EXPECT_GT(net.stats().messages_delivered, 4000u);
+    std::uint64_t timed_ns = 0;
+    for (const ShardPerfStats& p : net.shard_perf()) {
+      timed_ns += p.busy_ns + p.drain_ns + p.barrier_ns + p.idle_ns;
+    }
+    EXPECT_GT(timed_ns, 0u);
+    EXPECT_LE(timed_ns, w * wall_ns) << w << " workers";
+  }
+}
+
+// A node that throws mid-run on a worker thread must not wedge the window
+// protocol: its worker keeps arriving at the gate, the next advance stops
+// everyone, and run_until_idle rethrows the node's exception.  The engine
+// stays usable: a fresh network runs to completion afterwards.
+TEST(ShardedEngine, HandlerThrowMidRunIsRethrown) {
+  register_all_messages();
+  // Two cross-shard ping-pong pairs over four single-node shards.
+  auto run = [](unsigned workers, bool fail) {
+    Network net(1);
+    std::vector<Relay*> r;
+    std::vector<std::vector<NodeId>> groups;
+    for (int i = 0; i < 4; ++i) {
+      r.push_back(&net.add<Relay>("p" + std::to_string(i)));
+      r.back()->remaining = 100;
+      groups.push_back({r.back()->id()});
+    }
+    for (int i = 0; i < 4; i += 2) {
+      net.connect(*r[i], *r[i + 1], LinkProfile{});
+      r[i]->peer = r[i + 1]->id();
+      r[i + 1]->peer = r[i]->id();
+    }
+    if (fail) r[1]->fail_at = 50;  // shard 1, halfway through the run
+    net.set_shards(groups);
+    net.set_workers(workers);
+    net.send(r[0]->id(), r[1]->id(), std::make_shared<UmPagingRequest>());
+    net.send(r[2]->id(), r[3]->id(), std::make_shared<UmPagingRequest>());
+    net.run_until_idle();
+    return net.stats().messages_delivered;
+  };
+  for (unsigned w : {1u, 2u, 4u}) {
+    try {
+      run(w, true);
+      ADD_FAILURE() << "no exception at " << w << " workers";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "relay failure in p1") << w << " workers";
+    }
+    EXPECT_EQ(run(w, false), 402u) << w << " workers";
   }
 }
 

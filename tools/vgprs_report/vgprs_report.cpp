@@ -651,11 +651,12 @@ int usage() {
                "are byte-identical for every N (including N = 1) — worker\n"
                "count only changes wall-clock interleaving, never results\n"
                "--shard-stats 1 adds per-shard window-protocol profiling\n"
-               "(windows / fused windows / events plus wall-clock busy, drain,\n"
-               "barrier and idle time; the time columns are scheduling-\n"
-               "dependent and excluded from the determinism guarantee;\n"
-               "busy/drain are measured per shard, barrier/idle are the\n"
-               "owning worker's waits repeated on each shard it owns)\n"
+               "(windows, fused windows = windows a shard sat out quiet,\n"
+               "events, plus wall-clock busy, drain, barrier and idle time;\n"
+               "the time columns are scheduling-dependent and excluded from\n"
+               "the determinism guarantee; busy/drain are measured per shard,\n"
+               "barrier/idle are the owning worker's waits split evenly over\n"
+               "the shards it owns)\n"
                "--capture writes a packed binary vgprs.btrace.v1 capture;\n"
                "decode reads one back (--in also takes a directory of\n"
                "per-shard files) and reprints/re-exports the run\n"
