@@ -108,18 +108,24 @@ BENCHMARK(BM_VgprsCallCycle)->Arg(0)->Arg(1);
 // untimed setup; each iteration is a wave of simultaneous cross-cell call
 // cycles, which keeps every shard seam (Abis, A, Gn, Gi, IP) busy.  The
 // wave is capped at a fixed pair count strided across the population:
-// every terminating leg pages the whole destination cell (n/16 MSs), so
-// an uncapped wave at 100k subscribers would enqueue ~300M simultaneous
-// paging events (~15 GB of heap) — the cap bounds peak in-flight memory
-// while the per-event work stays identical.
+// every terminating leg pages the whole destination cell (n/16 MSs).  A
+// page is one fan-out (Network::send_each): one queued entry per
+// destination shard plus an 8-byte member record per paged MS.  Measured
+// at 2 workers (4-core x86 host), a wave raises peak RSS by ~6 MB at 10k
+// and ~92 MB at 100k with 2048 pairs, ~390 MB at 100k with 8192 pairs —
+// ~48 KB per pair, so an uncapped 100k wave (50k pairs) would hold
+// ~2.4 GB in flight.  (With one event per paged MS the 10k wave alone
+// added ~200 MB.)  The cap stays so the rows remain comparable with
+// earlier baselines; per-delivery work is the same either way.
 void BM_ShardedCallMix(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto workers = static_cast<unsigned>(state.range(1));
   // The million-subscriber row spreads the population over 64 cells and
   // trims the wave: a terminating leg pages its whole destination cell
-  // (n / num_cells MSs), so holding 16 cells / 2048 pairs at 1M would put
-  // ~32M simultaneous paging events in flight.  64 cells x 256 pairs keeps
-  // the peak at ~4M events while per-event work is unchanged.
+  // (n / num_cells MSs), so holding 16 cells / 2048 pairs at 1M would page
+  // ~128M MSs at once (~1 GB of fan-out member records).  64 cells x 256
+  // pairs keeps the peak at ~4M paged MSs while per-delivery work is
+  // unchanged.
   const bool million = n >= 1'000'000;
   VgprsParams params;
   params.num_ms = n;

@@ -19,14 +19,14 @@ NodeId Bts::ms_node(const Imsi& imsi) const {
 
 void Bts::broadcast_paging(const PagingInfo& info) {
   // The paging channel reaches every MS camped on the cell; each MS filters
-  // on its own identity.
-  NodeId bsc_id = bsc();
-  for (NodeId n : net().neighbors(id())) {
-    if (n == bsc_id) continue;
-    auto out = pool_message<UmPagingRequest>();
-    static_cast<PagingInfo&>(*out) = info;
-    send(n, std::move(out));
-  }
+  // on its own identity.  One page is one fan-out over the cell: one
+  // message, one wire round-trip, one queued entry per shard.
+  const NodeId bsc_id = bsc();
+  net().neighbors(id(), paged_);
+  std::erase(paged_, bsc_id);
+  auto out = pool_message<UmPagingRequest>();
+  static_cast<PagingInfo&>(*out) = info;
+  net().send_each(id(), paged_, std::move(out));
 }
 
 void Bts::on_message(const Envelope& env) {

@@ -7,6 +7,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "gsm/messages.hpp"
 #include "sim/network.hpp"
@@ -66,6 +67,7 @@ class Bts final : public Node {
   LocationAreaId lai_;
   std::string bsc_name_;
   std::unordered_map<Imsi, NodeId> ms_by_imsi_;
+  std::vector<NodeId> paged_;  // broadcast_paging's reused member buffer
 };
 
 }  // namespace vgprs

@@ -75,8 +75,15 @@ struct FreeBlock {
 // Every hot-path step is lock-free: the shelf mutex is touched once per
 // flushed/adopted batch, never per block, and an empty shelf is detected
 // with one relaxed load.
-constexpr std::size_t kShedThreshold = 256;
-constexpr std::size_t kShedBatch = 128;
+//
+// The two sizes also set how fast a one-sided flow reaches that steady
+// state: the producer keeps carving until kShedThreshold + kShedBatch
+// blocks sit on the consumer.  A low-rate flow (a call mix's core <-> cell
+// signaling, once paging no longer floods every class) took several call
+// waves to fill 256 + 128 and grew a chunk on the way; 64 + 32 fills within
+// the first wave, at one shelf lock per 32 spilled blocks.
+constexpr std::size_t kShedThreshold = 64;
+constexpr std::size_t kShedBatch = 32;
 
 struct Shelf {
   std::mutex mu;

@@ -68,28 +68,48 @@ class QuadHeap {
     T min = std::move(v_.front());
     T last = std::move(v_.back());
     v_.pop_back();
-    if (!v_.empty()) {
-      // Sift down: move the smallest child up into the hole.
-      std::size_t i = 0;
-      const std::size_t n = v_.size();
-      for (;;) {
-        std::size_t first_child = 4 * i + 1;
-        if (first_child >= n) break;
-        std::size_t best = first_child;
-        std::size_t end = std::min(first_child + 4, n);
-        for (std::size_t c = first_child + 1; c < end; ++c) {
-          if (before_(v_[c], v_[best])) best = c;
-        }
-        if (!before_(v_[best], last)) break;
-        v_[i] = std::move(v_[best]);
-        i = best;
-      }
-      v_[i] = std::move(last);
-    }
+    if (!v_.empty()) sift_down_from_root(std::move(last));
     return min;
   }
 
+  /// The minimum, for the caller to move later in the order in place; the
+  /// caller must then call sift_top().  Only a change that makes the element
+  /// pop later is allowed.
+  [[nodiscard]] T& mutable_top() {
+    assert(!v_.empty());
+    return v_.front();
+  }
+
+  /// Restores heap order after mutable_top() was moved later: one sift-down
+  /// from the root, which stops at the first level when the element is
+  /// still the minimum.
+  void sift_top() {
+    assert(!v_.empty());
+    T item = std::move(v_.front());
+    sift_down_from_root(std::move(item));
+  }
+
  private:
+  /// Sift down from an empty root slot: move the smallest child up into the
+  /// hole until `item` fits.
+  void sift_down_from_root(T item) {
+    std::size_t i = 0;
+    const std::size_t n = v_.size();
+    for (;;) {
+      std::size_t first_child = 4 * i + 1;
+      if (first_child >= n) break;
+      std::size_t best = first_child;
+      std::size_t end = std::min(first_child + 4, n);
+      for (std::size_t c = first_child + 1; c < end; ++c) {
+        if (before_(v_[c], v_[best])) best = c;
+      }
+      if (!before_(v_[best], item)) break;
+      v_[i] = std::move(v_[best]);
+      i = best;
+    }
+    v_[i] = std::move(item);
+  }
+
   /// Floyd heap construction: sift down every internal node, deepest first.
   void rebuild() {
     const std::size_t n = v_.size();

@@ -73,6 +73,8 @@ Network::Network(std::uint64_t seed) : seed_(seed) {
   // Outbox rings exist only on a sharded network (set_shards allocates
   // them); the sequential engine never routes through a mailbox.
   shards_.push_back(std::make_unique<Shard>(seed));
+  shards_.front()->fan_by_dest.resize(1);
+  shards_.front()->fan_count.resize(1);
 }
 
 Network::~Network() {
@@ -165,13 +167,10 @@ bool Network::linked(NodeId a, NodeId b) const {
   return find_link(a, b) != nullptr;
 }
 
-std::vector<NodeId> Network::neighbors(NodeId id) const {
-  std::vector<NodeId> out;
-  if (!id.valid() || id.value() > adjacency_.size()) return out;
-  const auto& adj = adjacency_[id.value() - 1];
-  out.reserve(adj.size());
-  for (const Adjacency& a : adj) out.push_back(a.peer);
-  return out;
+void Network::neighbors(NodeId id, std::vector<NodeId>& out) const {
+  out.clear();
+  if (!id.valid() || id.value() > adjacency_.size()) return;
+  for (const Adjacency& a : adjacency_[id.value() - 1]) out.push_back(a.peer);
 }
 
 const LinkProfile* Network::link_between(NodeId a, NodeId b) const {
@@ -263,6 +262,8 @@ void Network::set_shards(const std::vector<std::vector<NodeId>>& groups) {
   }
   for (auto& sh : shards_) {
     sh->outbox = std::make_unique<OutboxRing[]>(shards_.size());
+    sh->fan_by_dest.resize(shards_.size());
+    sh->fan_count.resize(shards_.size());
   }
   seam_cache_built_ = false;  // built lazily by the first windowed run
 }
@@ -580,18 +581,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg,
                              std::default_delete<const Message>{},
                              PoolAllocator<Message>{});
     } else {
-      auto decoded = MessageRegistry::instance().decode(sh.scratch.data());
-      if (!decoded.ok()) {
-        throw std::logic_error("codec round-trip failed for " +
-                               std::string(delivered->name()) + ": " +
-                               decoded.error().to_string());
-      }
-      // The decoded object came from Message::operator new (pooled); give
-      // the shared_ptr control block the same treatment instead of letting
-      // the unique_ptr conversion allocate it from the global heap.
-      delivered = MessagePtr(std::move(decoded).value().release(),
-                             std::default_delete<const Message>{},
-                             PoolAllocator<Message>{});
+      delivered = decode_scratch(sh, *delivered);
     }
   }
 
@@ -624,6 +614,106 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg,
     dup.to = to;
     route_event(sh, buffered, std::move(dup));
   }
+}
+
+MessagePtr Network::decode_scratch(const Shard& sh, const Message& sent) {
+  auto decoded = MessageRegistry::instance().decode(sh.scratch.data());
+  if (!decoded.ok()) {
+    throw std::logic_error("codec round-trip failed for " +
+                           std::string(sent.name()) + ": " +
+                           decoded.error().to_string());
+  }
+  // The decoded object came from Message::operator new (pooled); give the
+  // shared_ptr control block the same treatment instead of letting the
+  // unique_ptr conversion allocate it from the global heap.
+  return MessagePtr(std::move(decoded).value().release(),
+                    std::default_delete<const Message>{},
+                    PoolAllocator<Message>{});
+}
+
+bool Network::uniform_fan_out(NodeId from, std::span<const NodeId> to,
+                              SimDuration& latency) const {
+  if (fault_ != nullptr || node(from) == nullptr) return false;
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    const LinkProfile* link =
+        node(to[i]) == nullptr ? nullptr : link_between(from, to[i]);
+    // The same tests send() makes before it draws from the RNG.
+    if (link == nullptr || link->loss_probability > 0.0 ||
+        link->jitter > SimDuration::zero()) {
+      return false;
+    }
+    if (i == 0) {
+      latency = link->latency;
+    } else if (link->latency != latency) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Network::send_each(NodeId from, std::span<const NodeId> to,
+                        MessagePtr msg) {
+  assert(msg != nullptr);
+  if (to.empty()) return;
+  SimDuration latency;
+  if (!uniform_fan_out(from, to, latency)) {
+    for (NodeId t : to) send(from, t, msg);
+    return;
+  }
+  Shard& sh = cur();
+  const bool buffered = in_sharded_dispatch();
+  const std::uint64_t n = to.size();
+  sh.stats.messages_sent += n;
+
+  MessagePtr delivered = std::move(msg);
+  if (serialize_links_) {
+    // Every member's wire image would be the same bytes: encode and decode
+    // once, count the bytes once per member.
+    sh.scratch.clear();
+    delivered->encode_to(sh.scratch);
+    sh.stats.bytes_on_wire += sh.scratch.size() * n;
+    delivered = decode_scratch(sh, *delivered);
+  }
+
+  // Member i takes seq base + i, exactly what n send() calls would draw.
+  const std::uint64_t base_seq = alloc_seq(sh);
+  sh.next_seq += n - 1;
+
+  // One record per destination shard, members in list order: count them,
+  // size each record once, then fill.
+  auto dest_of = [this](NodeId t) {
+    return shards_.size() == 1 ? 0 : shard_of(t);
+  };
+  for (const NodeId t : to) {
+    if (sh.fan_count[dest_of(t)]++ == 0) sh.fan_dests.push_back(dest_of(t));
+  }
+  for (const std::uint32_t d : sh.fan_dests) {
+    auto rec = std::allocate_shared<FanOut>(PoolAllocator<FanOut>{});
+    rec->msg = delivered;
+    rec->base_seq = base_seq;
+    rec->members.reserve(sh.fan_count[d]);
+    sh.fan_count[d] = 0;
+    sh.fan_by_dest[d] = std::move(rec);
+  }
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    sh.fan_by_dest[dest_of(to[i])]->members.push_back(
+        {to[i], static_cast<std::uint32_t>(i)});
+  }
+  for (const std::uint32_t d : sh.fan_dests) {
+    std::shared_ptr<FanOut> rec = std::move(sh.fan_by_dest[d]);
+    const FanOut::Member& first = rec->members.front();
+    Event ev;
+    ev.at = sh.now + latency;
+    ev.sent_at = sh.now;
+    ev.seq = base_seq + first.offset;
+    ev.from = from;
+    ev.to = first.to;
+    ev.timer_slot = kFanOutSlot;
+    ev.fan = rec.get();
+    ev.msg = MessagePtr(std::move(rec), delivered.get());
+    route_event(sh, buffered, std::move(ev));
+  }
+  sh.fan_dests.clear();
 }
 
 TimerId Network::set_timer(NodeId target, SimDuration delay,
@@ -780,11 +870,38 @@ void Network::dispatch(Event ev, Shard& sh, bool buffered) {
   dst->on_message(env);
 }
 
+Network::Event Network::next_event(Shard& sh) {
+  if (sh.queue.top().timer_slot != kFanOutSlot) return sh.queue.pop();
+  // The entry is keyed by its next member.  The remaining members' keys
+  // share (at, sent_at) and rise in seq, so the entry is re-keyed in place
+  // and sifted down — and it is re-queued BEFORE the member is dispatched,
+  // so a handler that throws leaves exactly the undelivered members queued.
+  Event& entry = sh.queue.mutable_top();
+  FanOut& fan = *entry.fan;
+  Event member;
+  member.at = entry.at;
+  member.sent_at = entry.sent_at;
+  member.seq = entry.seq;
+  member.from = entry.from;
+  member.to = entry.to;
+  if (++fan.next == fan.members.size()) {
+    member.msg = std::move(fan.msg);
+    sh.queue.pop();  // the spent entry frees the record
+    return member;
+  }
+  member.msg = fan.msg;
+  const FanOut::Member& next = fan.members[fan.next];
+  entry.seq = fan.base_seq + next.offset;
+  entry.to = next.to;
+  sh.queue.sift_top();
+  return member;
+}
+
 std::size_t Network::run_sequential(SimTime limit) {
   Shard& sh = *shards_.front();
   std::size_t processed = 0;
   while (!sh.queue.empty() && sh.queue.top().at <= limit) {
-    dispatch(sh.queue.pop(), sh, false);
+    dispatch(next_event(sh), sh, false);
     ++processed;
   }
   return processed;
@@ -804,7 +921,7 @@ void Network::process_window(Shard& sh, SimTime t_end) {
   SpanTracker::set_thread_sink(&spans_, &sh.span_ops, &sh.cur_key);
   std::size_t before = sh.processed;
   while (!sh.queue.empty() && sh.queue.top().at < t_end) {
-    dispatch(sh.queue.pop(), sh, true);
+    dispatch(next_event(sh), sh, true);
     ++sh.processed;
   }
   if (sh.processed != before) {

@@ -15,7 +15,10 @@
 //  * topology is per-node adjacency lists, so link lookup is O(degree)
 //    with no hashing and neighbor enumeration is O(degree), not O(E);
 //  * link labels are interned into a per-Network table, so LinkProfile is
-//    trivially copyable and profile churn never allocates.
+//    trivially copyable and profile churn never allocates;
+//  * a fan-out (send_each, e.g. a cell-wide page) is encoded and decoded
+//    once and queued as one entry per destination shard, not one event
+//    per member.
 //
 // Sharded execution (see DESIGN.md "Sharded engine"): set_shards()
 // partitions the topology along its seams; each shard owns a private event
@@ -133,8 +136,10 @@ class Network {
   }
 
   [[nodiscard]] bool linked(NodeId a, NodeId b) const;
-  /// All nodes directly linked to `id` (used e.g. for paging broadcast).
-  [[nodiscard]] std::vector<NodeId> neighbors(NodeId id) const;
+  /// Fills `out` (cleared first) with all nodes directly linked to `id`,
+  /// in ascending id order.  Callers that enumerate often (paging
+  /// broadcast) keep one buffer across calls.
+  void neighbors(NodeId id, std::vector<NodeId>& out) const;
   [[nodiscard]] const LinkProfile* link_between(NodeId a, NodeId b) const;
   /// Replaces the profile of an existing link (for sweeps).
   void set_link_profile(NodeId a, NodeId b, LinkProfile profile);
@@ -226,6 +231,16 @@ class Network {
   /// link's propagation characteristics.
   void send(NodeId from, NodeId to, MessagePtr msg,
             SimDuration extra_delay = SimDuration::zero());
+
+  /// Fan-out send: observably identical to calling send(from, t, msg) for
+  /// each t in `to`, in order — same deliveries in the same order, same
+  /// trace, capture, spans, metrics and stats.  When no per-send decision
+  /// exists (no fault injector; every link lossless, jitter-free and of
+  /// equal latency) the message is encoded and decoded once, the members
+  /// take consecutive sequence numbers, and each destination shard queues
+  /// one entry that yields its members one at a time.  Otherwise it is
+  /// exactly that loop over send().
+  void send_each(NodeId from, std::span<const NodeId> to, MessagePtr msg);
 
   /// If true (default) every link traversal round-trips through the wire
   /// codec.  A codec failure throws: it is a bug, not a simulated fault.
@@ -328,21 +343,47 @@ class Network {
   /// (crash/restart/link-down/link-up); these ride the event queue like
   /// timers but are owned by the engine, not a timer slot.
   static constexpr std::uint32_t kFaultSlot = 0xFFFFFFFFu;
+  /// Sentinel timer_slot value marking a fan-out entry (see send_each).
+  static constexpr std::uint32_t kFanOutSlot = 0xFFFFFFFEu;
 
-  /// One queued occurrence: a delivery (msg != nullptr), a timer firing, or
-  /// a fault transition (timer_slot == kFaultSlot).  Kept small and
-  /// move-only-cheap; the heap moves these on every sift.
+  /// The members of one send_each() that live on one destination shard.
+  /// Every member's delivery shares `at`, `sent_at`, the sender and `msg`;
+  /// member k's seq is base_seq + members[k].offset.  The record is owned
+  /// by its queue entry (see Event::fan), so it dies with the entry — after
+  /// the last member, or with the Network if it never ran.
+  struct FanOut {
+    struct Member {
+      NodeId to;
+      std::uint32_t offset;  // position in the send_each() destination list
+    };
+    MessagePtr msg;               // the one decoded instance
+    std::uint64_t base_seq = 0;   // seq of list position 0
+    std::vector<Member> members;  // this shard's members, in list order
+    std::size_t next = 0;         // index of the member the entry is keyed by
+  };
+
+  /// One queued occurrence: a delivery (msg != nullptr), a timer firing, a
+  /// fault transition (timer_slot == kFaultSlot), or a fan-out entry
+  /// (timer_slot == kFanOutSlot) keyed and addressed as its next member.
+  /// Kept small and move-only-cheap; the heap moves these on every sift.
   struct Event {
     SimTime at;
     SimTime sent_at;        // shard-local now of the originating dispatch
     std::uint64_t seq = 0;  // (origin shard << kShardSeqBits) | shard seq
-    MessagePtr msg;         // null => timer / fault event
-    std::uint64_t timer_cookie = 0;
+    // Null => timer / fault event.  A fan-out entry holds an aliasing
+    // pointer: it points at the shared message but owns the FanOut record,
+    // which is what frees the record with the entry.
+    MessagePtr msg;
+    union {
+      std::uint64_t timer_cookie = 0;  // timer / fault events
+      FanOut* fan;                     // fan-out entries
+    };
     NodeId from;                  // deliveries only
     NodeId to;                    // delivery target / timer target
     std::uint32_t timer_slot = 0;
     std::uint32_t timer_gen = 0;
   };
+  static_assert(sizeof(Event) == 64, "the heap moves Events on every sift");
   /// The engine's total execution order; see dispatch_key.hpp for why this
   /// exactly reproduces the sequential engine's (at, global seq) order.
   struct EventBefore {
@@ -586,6 +627,12 @@ class Network {
     BtraceShardBuffer capture;  // packed binary record ring (btrace.hpp)
     std::unique_ptr<OutboxRing[]> outbox;  // index = destination shard
     std::vector<std::uint32_t> outbox_touched;  // dests staged this window
+    // send_each() scratch, index = destination shard: members counted and
+    // the record being filled; plus the shards touched, in first-member
+    // order.  Empty again between calls.
+    std::vector<std::uint32_t> fan_count;
+    std::vector<std::shared_ptr<FanOut>> fan_by_dest;
+    std::vector<std::uint32_t> fan_dests;
     ShardPerfStats perf;
     // Published for the window advance (written by the owning worker before
     // it arrives at the rendezvous, read only under the gate's ordering).
@@ -616,6 +663,20 @@ class Network {
   NodeId attach_node(Node* node);
 
   void dispatch(Event ev, Shard& sh, bool buffered);
+  /// Takes the next event off sh's heap.  A fan-out entry yields its next
+  /// member as a plain delivery and stays queued, re-keyed by the member
+  /// after it, until its last member.
+  [[nodiscard]] Event next_event(Shard& sh);
+  /// True when send_each() may batch: no fault injector, and every member
+  /// has a lossless, jitter-free link from `from` of one common latency
+  /// (returned through `latency`).  Otherwise per-send decisions exist, or
+  /// send() must throw on a bad endpoint; the caller loops over send().
+  [[nodiscard]] bool uniform_fan_out(NodeId from, std::span<const NodeId> to,
+                                     SimDuration& latency) const;
+  /// Decodes the shard's scratch wire image into a fresh pooled message;
+  /// a failure is a codec bug and throws.
+  [[nodiscard]] static MessagePtr decode_scratch(const Shard& sh,
+                                                 const Message& sent);
   [[nodiscard]] const Adjacency* find_link(NodeId a, NodeId b) const;
   [[nodiscard]] std::string_view intern_label(std::string_view label);
   void release_timer_slot(Shard& sh, std::uint32_t slot);

@@ -10,7 +10,9 @@
 //    stay inside a small slack (thread start-up, late container growth);
 //  * on the real vGPRS sharded call mix, the message-pool statistics
 //    (chunks, reserved bytes, oversize fallbacks) must be flat across
-//    call waves once the first wave has warmed the pool.
+//    call waves once the first wave has warmed the pool;
+//  * a BTS page costs the same allocations whatever the number of MSs
+//    camped on the cell (one fan-out, not one message per MS).
 //
 // Both gates are skipped when the pool runs in sanitizer passthrough mode
 // (message_pool_enabled() == false): then every message *is* a fresh heap
@@ -22,6 +24,8 @@
 #include <new>
 #include <vector>
 
+#include "gsm/bts.hpp"
+#include "gsm/mobile_station.hpp"
 #include "sim/arena.hpp"
 #include "sim/export.hpp"
 #include "vgprs/scenario.hpp"
@@ -167,6 +171,64 @@ TEST(AllocRegression, CallMixPoolStatsAreFlatAcrossWaves) {
   EXPECT_EQ(after.bytes_reserved, warm.bytes_reserved);
   EXPECT_EQ(after.oversize_allocs, warm.oversize_allocs);
   EXPECT_GT(after.pooled_allocs, warm.pooled_allocs);
+}
+
+struct Sink final : public Node {
+  using Node::Node;
+  void on_message(const Envelope&) override {}
+};
+
+// A page reaches every MS camped on the cell, each in its own delivery, but
+// it is one message, one wire round-trip, one fan-out record and one member
+// list: neither the pooled nor the global-heap allocations of a page may
+// grow with the cell.  The paged IMSI belongs to nobody, so the MSs (all
+// powered off) only receive it.
+TEST(AllocRegression, PageAllocationsDoNotDependOnCellSize) {
+  if (!message_pool_enabled()) {
+    GTEST_SKIP() << "message pool in sanitizer passthrough mode";
+  }
+  register_all_messages();
+  struct PageCost {
+    std::uint64_t pooled = 0;
+    std::uint64_t heap = 0;
+  };
+  auto page_cost = [](std::size_t camped) {
+    Network net(1);
+    net.trace().set_mode(TraceMode::kDisabled);
+    auto& bsc = net.add<Sink>("BSC");
+    auto& bts = net.add<Bts>("BTS", CellId(101), LocationAreaId(10), "BSC");
+    net.connect(bsc, bts, LinkProfile{});
+    for (std::size_t i = 0; i < camped; ++i) {
+      MobileStation::Config mc;
+      mc.imsi = Imsi(2000 + i);
+      mc.bts_name = "BTS";
+      auto& ms = net.add<MobileStation>("MS" + std::to_string(i), mc);
+      net.connect(ms, bts, LinkProfile{});
+    }
+    auto page = [&] {
+      auto msg = pool_message<AbisPaging>();
+      msg->imsi = Imsi(999);
+      net.send(bsc.id(), bts.id(), std::move(msg));
+      return net.run_until_idle();
+    };
+    page();  // warm the heap, the BTS member buffer and the pool lists
+    PageCost cost;
+    const std::uint64_t pooled_before = message_pool_stats().pooled_allocs;
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_release);
+    const std::size_t events = page();
+    g_counting.store(false, std::memory_order_release);
+    cost.heap = g_allocs.load(std::memory_order_relaxed);
+    cost.pooled = message_pool_stats().pooled_allocs - pooled_before;
+    EXPECT_EQ(events, camped + 1) << camped << " MSs";
+    return cost;
+  };
+  const PageCost small = page_cost(64);
+  const PageCost large = page_cost(512);
+  EXPECT_EQ(small.pooled, large.pooled);
+  EXPECT_EQ(small.heap, large.heap);
+  EXPECT_GT(small.pooled, 0u);
+  EXPECT_LE(small.pooled, 8u);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "gprs/ip.hpp"
+#include "sim/arena.hpp"
 #include "sim/export.hpp"
 #include "sim/fault.hpp"
 #include "tr23821/tr_scenario.hpp"
@@ -600,6 +601,354 @@ TEST(ShardedEngine, PlannerSplitsHotCellDeterministically) {
     EXPECT_EQ(traces[0], traces[i])
         << "trace differs between 1 and " << kWorkerCounts[i] << " workers";
     EXPECT_EQ(delivered[0], delivered[i]);
+  }
+}
+
+// --- fan-out (send_each) ------------------------------------------------------
+
+// A paging hub: each page goes to every leaf, either as one send_each() or
+// as the per-destination send() loop it must be indistinguishable from.
+// The page names one leaf, whose answer makes the hub page again (and arm
+// a timer that pages once more), so fan-outs start from stimulus, from
+// handlers and from timers, and overlap each other and the answers.
+struct FanHub final : public Node {
+  using Node::Node;
+  std::vector<NodeId> leaves;
+  bool use_send_each = true;
+  int pages_left = 0;
+  std::uint64_t next_imsi = 0;
+  std::weak_ptr<const Message> last_page;
+
+  void page() {
+    if (pages_left-- <= 0) return;
+    auto msg = pool_message<UmPagingRequest>();
+    msg->imsi = Imsi(1000 + next_imsi++ % leaves.size());
+    last_page = msg;
+    net().spans().open(SpanKind::kTermination, msg->correlation(), name(),
+                       now());
+    if (use_send_each) {
+      net().send_each(id(), leaves, std::move(msg));
+    } else {
+      for (NodeId leaf : leaves) send(leaf, msg);
+    }
+  }
+  void on_message(const Envelope& env) override {
+    net().spans().close(SpanKind::kTermination, env.msg->correlation(),
+                        SpanOutcome::kOk, now());
+    page();
+    set_timer(SimDuration::millis(1));
+  }
+  void on_timer(TimerId, std::uint64_t) override { page(); }
+};
+
+// Answers the pages that name it; may throw on its `throw_at`-th page.
+struct FanLeaf final : public Node {
+  FanLeaf(std::string name, Imsi own) : Node(std::move(name)), imsi(own) {}
+  Imsi imsi;
+  int pages = 0;
+  int throw_at = -1;
+  void on_message(const Envelope& env) override {
+    ++net().metrics().counter("fan/pages");
+    if (++pages == throw_at) throw std::runtime_error("page refused");
+    const auto* page = dynamic_cast<const UmPagingRequest*>(env.msg.get());
+    if (page == nullptr || page->imsi != imsi) return;
+    auto rsp = pool_message<UmPagingResponse>();
+    rsp->imsi = imsi;
+    send(env.from, std::move(rsp));
+  }
+};
+
+// What makes send_each() take the per-send path instead of the batch.
+enum class FanTrigger { kNone, kFaults, kLossyLink, kJitteredLink, kMixedLatency };
+// 0 = the sequential (unsharded) engine, else the sharded worker count.
+constexpr unsigned kFanEngines[] = {0, 1, 2, 4};
+
+struct FanWorld {
+  std::unique_ptr<Network> net = std::make_unique<Network>(5);
+  std::vector<FanHub*> hubs;
+  std::vector<FanLeaf*> leaves;
+};
+
+// Two hubs and twelve leaves.  Sharded, the leaves are dealt over four
+// shards (one of them the first hub's own), so every page splits into
+// several destination shards whose members alternate in list order.
+FanWorld make_fan_world(unsigned engine, bool use_send_each,
+                        FanTrigger trigger) {
+  register_all_messages();
+  FanWorld w;
+  Network& net = *w.net;
+  for (int h = 0; h < 2; ++h) {
+    w.hubs.push_back(&net.add<FanHub>("hub" + std::to_string(h)));
+  }
+  for (int i = 0; i < 12; ++i) {
+    w.leaves.push_back(&net.add<FanLeaf>("leaf" + std::to_string(i),
+                                         Imsi(1000 + static_cast<unsigned>(i))));
+  }
+  for (FanHub* hub : w.hubs) {
+    hub->use_send_each = use_send_each;
+    for (FanLeaf* leaf : w.leaves) {
+      LinkProfile link;
+      link.latency = SimDuration::millis(2);
+      link.label = "Um";
+      net.connect(*hub, *leaf, link);
+      hub->leaves.push_back(leaf->id());
+    }
+  }
+  FanHub& h0 = *w.hubs[0];
+  const NodeId l5 = w.leaves[5]->id();
+  LinkProfile odd = *net.link_between(h0.id(), l5);
+  switch (trigger) {
+    case FanTrigger::kNone:
+    case FanTrigger::kFaults:
+      break;
+    case FanTrigger::kLossyLink:
+      odd.loss_probability = 0.3;
+      break;
+    case FanTrigger::kJitteredLink:
+      odd.jitter = SimDuration::micros(700);
+      break;
+    case FanTrigger::kMixedLatency:
+      odd.latency = SimDuration::millis(3);
+      break;
+  }
+  net.set_link_profile(h0.id(), l5, odd);
+  if (engine != 0) {
+    std::vector<std::vector<NodeId>> groups(5);
+    groups[0].push_back(h0.id());
+    groups[1].push_back(w.hubs[1]->id());
+    for (std::size_t i = 0; i < w.leaves.size(); ++i) {
+      groups[i % 4 == 0 ? 0 : 1 + i % 4].push_back(w.leaves[i]->id());
+    }
+    net.set_shards(groups);
+    net.set_workers(engine);
+  }
+  if (trigger == FanTrigger::kFaults) {
+    // Installed after sharding, as install_faults requires.
+    FaultSchedule sched;
+    MessageFault dup;
+    dup.match.message = "Um_Paging_Request";
+    dup.match.to = "leaf7";
+    dup.match.nth = 2;
+    dup.kind = FaultKind::kDuplicate;
+    sched.message_faults.push_back(dup);
+    MessageFault drop;
+    drop.match.message = "Um_Paging_Request";
+    drop.match.to = "leaf2";
+    drop.match.nth = 3;
+    sched.message_faults.push_back(drop);
+    net.install_faults(std::move(sched));
+  }
+  net.spans().set_enabled(true);
+  net.enable_capture({});
+  return w;
+}
+
+// Every observable a fan-out could disturb.
+struct FanRun {
+  std::vector<std::size_t> processed;  // run_until_idle() return values
+  std::string trace;                   // full text, parameter dumps included
+  std::string capture;                 // btrace segment bytes
+  std::string metrics;
+  std::string spans;
+  NetworkStats stats;
+  std::uint64_t pooled_allocs = 0;
+};
+
+FanRun observe(FanWorld& w, std::vector<std::size_t> processed,
+               std::uint64_t pooled_before) {
+  FanRun r;
+  r.processed = std::move(processed);
+  Network& net = *w.net;
+  std::ostringstream tos;
+  for (const TraceEntry& e : net.trace().entries()) {
+    tos << e.at.count_micros() << ' ' << e.from << ' ' << e.to << ' '
+        << e.message << ' ' << e.summary << '\n';
+  }
+  r.trace = tos.str();
+  const MetricsSnapshot snap = net.metrics_snapshot();
+  std::ostringstream mos;
+  write_metrics_json(mos, snap);
+  r.metrics = mos.str();
+  std::ostringstream sos;
+  write_spans_json(sos, net.spans().spans());
+  r.spans = sos.str();
+  std::size_t events = 0;
+  for (std::size_t p : r.processed) events += p;
+  std::ostringstream cos;
+  net.write_capture_segment(cos, "fan", events, snap);
+  r.capture = cos.str();
+  r.stats = net.stats();
+  r.pooled_allocs = message_pool_stats().pooled_allocs - pooled_before;
+  return r;
+}
+
+// Two stimulus rounds, each starting one page chain per hub and run to
+// idle.
+FanRun run_fan(unsigned engine, bool use_send_each, FanTrigger trigger) {
+  FanWorld w = make_fan_world(engine, use_send_each, trigger);
+  const std::uint64_t pooled_before = message_pool_stats().pooled_allocs;
+  std::vector<std::size_t> processed;
+  for (int round = 0; round < 2; ++round) {
+    for (FanHub* hub : w.hubs) {
+      hub->pages_left = 10;
+      hub->page();
+    }
+    processed.push_back(w.net->run_until_idle());
+  }
+  return observe(w, std::move(processed), pooled_before);
+}
+
+void expect_same_run(const FanRun& each, const FanRun& loop,
+                     const std::string& label) {
+  EXPECT_EQ(each.processed, loop.processed) << label;
+  EXPECT_EQ(each.trace, loop.trace) << label;
+  EXPECT_EQ(each.capture, loop.capture) << label;
+  EXPECT_EQ(each.metrics, loop.metrics) << label;
+  EXPECT_EQ(each.spans, loop.spans) << label;
+  EXPECT_EQ(each.stats.messages_sent, loop.stats.messages_sent) << label;
+  EXPECT_EQ(each.stats.messages_delivered, loop.stats.messages_delivered)
+      << label;
+  EXPECT_EQ(each.stats.messages_dropped, loop.stats.messages_dropped)
+      << label;
+  EXPECT_EQ(each.stats.bytes_on_wire, loop.stats.bytes_on_wire) << label;
+  EXPECT_EQ(each.stats.timers_fired, loop.stats.timers_fired) << label;
+}
+
+std::string fan_label(unsigned engine) {
+  return engine == 0 ? std::string("sequential engine")
+                     : std::to_string(engine) + " worker(s)";
+}
+
+// The batch path: every observable equals the send() loop's, on the
+// sequential engine and at 1, 2 and 4 workers, with far fewer pooled
+// allocations (one decode per page, not one per leaf).
+TEST(ShardedEngine, FanOutMatchesPerDestinationSends) {
+  std::vector<std::string> traces;
+  for (unsigned engine : kFanEngines) {
+    const FanRun each = run_fan(engine, true, FanTrigger::kNone);
+    const FanRun loop = run_fan(engine, false, FanTrigger::kNone);
+    expect_same_run(each, loop, fan_label(engine));
+    EXPECT_GT(each.stats.messages_delivered, 400u);
+    EXPECT_EQ(each.stats.messages_dropped, 0u);
+    if (message_pool_enabled()) {
+      EXPECT_LT(each.pooled_allocs * 2, loop.pooled_allocs)
+          << fan_label(engine);
+    }
+    traces.push_back(each.trace);
+  }
+  // And the sharded runs stay worker-count invariant.
+  for (std::size_t i = 2; i < traces.size(); ++i) {
+    EXPECT_EQ(traces[1], traces[i]) << fan_label(kFanEngines[i]);
+  }
+}
+
+// Each per-send decision sends send_each() down the send() loop, so the
+// draws and faults land exactly where the loop puts them (a batched page
+// over the lossy link would skip the loss draw; over the slower link it
+// would arrive early — either shows up in the comparison).
+TEST(ShardedEngine, FanOutFallbacksMatchPerDestinationSends) {
+  const std::pair<FanTrigger, const char*> triggers[] = {
+      {FanTrigger::kFaults, "faults installed"},
+      {FanTrigger::kLossyLink, "lossy link"},
+      {FanTrigger::kJitteredLink, "jittered link"},
+      {FanTrigger::kMixedLatency, "mixed latencies"},
+  };
+  for (const auto& [trigger, what] : triggers) {
+    for (unsigned engine : kFanEngines) {
+      const std::string label = std::string(what) + ", " + fan_label(engine);
+      const FanRun each = run_fan(engine, true, trigger);
+      const FanRun loop = run_fan(engine, false, trigger);
+      expect_same_run(each, loop, label);
+      EXPECT_GT(each.stats.messages_delivered, 100u) << label;
+      // With faults installed every fan-out is the loop, allocation for
+      // allocation.  A link trigger sits on a hub0 link only, so hub1's
+      // fan-outs still batch.
+      if (message_pool_enabled() && trigger == FanTrigger::kFaults) {
+        EXPECT_EQ(each.pooled_allocs, loop.pooled_allocs) << label;
+      }
+    }
+  }
+  // The triggers really fire: the lossy link and the faults drop pages.
+  EXPECT_GT(run_fan(0, true, FanTrigger::kLossyLink).stats.messages_dropped,
+            0u);
+  EXPECT_GT(run_fan(0, true, FanTrigger::kFaults).stats.messages_dropped, 0u);
+}
+
+// A leaf throws in the middle of a fan-out.  run_until_idle rethrows it, and
+// the pages not yet delivered are still queued: resuming delivers exactly
+// what the send() loop's leftover events deliver.
+TEST(ShardedEngine, FanOutHandlerThrowLeavesUndeliveredMembersQueued) {
+  for (unsigned engine : kFanEngines) {
+    std::vector<FanRun> runs;
+    for (bool use_send_each : {true, false}) {
+      FanWorld w = make_fan_world(engine, use_send_each, FanTrigger::kNone);
+      FanLeaf& thrower = *w.leaves[6];
+      thrower.throw_at = 3;
+      const std::uint64_t pooled_before = message_pool_stats().pooled_allocs;
+      for (FanHub* hub : w.hubs) {
+        hub->pages_left = 10;
+        hub->page();
+      }
+      try {
+        w.net->run_until_idle();
+        ADD_FAILURE() << "no exception, " << fan_label(engine);
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "page refused") << fan_label(engine);
+      }
+      EXPECT_FALSE(w.net->idle()) << fan_label(engine);
+      const NetworkStats at_throw = w.net->stats();
+      thrower.throw_at = -1;
+      std::vector<std::size_t> processed{w.net->run_until_idle()};
+      EXPECT_TRUE(w.net->idle());
+      runs.push_back(observe(w, std::move(processed), pooled_before));
+      // The delivery that threw counted as delivered; nothing was lost.
+      EXPECT_LT(at_throw.messages_delivered,
+                runs.back().stats.messages_delivered);
+    }
+    expect_same_run(runs[0], runs[1], fan_label(engine));
+  }
+}
+
+// A Network destroyed with fan-outs still queued frees their records and,
+// with them, the shared message: entries queued by stimulus and never run,
+// entries committed to an outbox ring but not yet drained (the deadline
+// fell between send and delivery), and an entry part-way through its
+// members when a handler threw.  Link serialization is off so the fan-out
+// shares the hub's own instance, which the test watches.  (The ASan job
+// checks the same for leaks.)
+TEST(ShardedEngine, NetworkDestroyedWithFanOutsPendingFreesThem) {
+  for (unsigned engine : kFanEngines) {
+    std::vector<std::weak_ptr<const Message>> pages;
+    {
+      FanWorld w = make_fan_world(engine, true, FanTrigger::kNone);
+      w.net->set_serialize_links(false);
+      FanHub& h0 = *w.hubs[0];
+      FanHub& h1 = *w.hubs[1];
+      // hub0 pages at 0 ms; leaf0 answers at 2 ms; at 4 ms hub0 pages
+      // again, for delivery at 6 ms, past the deadline.
+      h0.pages_left = 2;
+      h0.page();
+      w.net->run_until(SimTime::from_micros(4'500));
+      EXPECT_EQ(h0.pages_left, 0) << fan_label(engine);
+      pages.push_back(h0.last_page);
+      h1.pages_left = 1;
+      h1.page();
+      pages.push_back(h1.last_page);
+      EXPECT_FALSE(w.net->idle()) << fan_label(engine);
+    }
+    {
+      FanWorld w = make_fan_world(engine, true, FanTrigger::kNone);
+      w.net->set_serialize_links(false);
+      w.leaves[6]->throw_at = 1;
+      w.hubs[0]->pages_left = 1;
+      w.hubs[0]->page();
+      pages.push_back(w.hubs[0]->last_page);
+      EXPECT_THROW(w.net->run_until_idle(), std::runtime_error);
+      EXPECT_FALSE(w.net->idle()) << fan_label(engine);
+    }
+    for (const auto& page : pages) {
+      EXPECT_TRUE(page.expired()) << fan_label(engine);
+    }
   }
 }
 

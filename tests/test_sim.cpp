@@ -315,9 +315,11 @@ TEST_F(SimTest, NeighborsEnumeratesLinks) {
   auto& c = net.add<Probe>("c");
   net.connect(a, b, LinkProfile{});
   net.connect(a, c, LinkProfile{});
-  auto n = net.neighbors(a.id());
-  EXPECT_EQ(n.size(), 2u);
-  EXPECT_EQ(net.neighbors(b.id()).size(), 1u);
+  std::vector<NodeId> n;
+  net.neighbors(a.id(), n);
+  EXPECT_EQ(n, (std::vector<NodeId>{b.id(), c.id()}));
+  net.neighbors(b.id(), n);
+  EXPECT_EQ(n, std::vector<NodeId>{a.id()});
 }
 
 TEST_F(SimTest, TraceMatcherSemantics) {
