@@ -211,9 +211,12 @@ BENCHMARK(BM_ShardedCallMix)
 // call mix as BM_ShardedCallMix, with range(1) selecting what records each
 // delivery.  0 = nothing (kDisabled baseline), 1 = full tracing + JSONL
 // formatting per wave (the pre-btrace way to keep a complete record),
-// 2 = binary ring capture (packed integer stores, no formatting).  The
-// events/s ratio of rows 2 and 0 is the acceptance number: binary capture
-// must cost <= 10% at the 10k-subscriber mix.
+// 2 = binary ring capture (packed integer stores, no formatting),
+// 3 = full tracing that is never rendered (TraceRecorder kFull, cleared
+// each wave: the cost of leaving the default trace on).  The events/s
+// ratio of rows 2 and 0 is the acceptance number: binary capture must
+// cost <= 10% at the 10k-subscriber mix; rows 3 and 0 give tracing on vs
+// off.
 void BM_CaptureOverhead(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const int mode = static_cast<int>(state.range(1));
@@ -225,8 +228,8 @@ void BM_CaptureOverhead(benchmark::State& state) {
   params.sharded = true;
   params.workers = 8;
   auto s = build_vgprs(params);
-  s->net.trace().set_mode(mode == 1 ? TraceMode::kFull
-                                    : TraceMode::kDisabled);
+  s->net.trace().set_mode(mode == 1 || mode == 3 ? TraceMode::kFull
+                                                 : TraceMode::kDisabled);
   if (mode == 2) {
     CaptureConfig cfg;
     cfg.ring_bytes_per_shard = 1u << 20;  // 1 MiB/shard, overwrite-oldest
@@ -242,7 +245,7 @@ void BM_CaptureOverhead(benchmark::State& state) {
     state.SkipWithError("registration incomplete");
     return;
   }
-  if (mode == 1) s->net.trace().clear();
+  if (mode == 1 || mode == 3) s->net.trace().clear();
   const std::size_t pairs = std::min<std::size_t>(s->ms.size() / 2, 2048);
   std::uint64_t delivered = 0;
   for (auto _ : state) {
@@ -263,21 +266,27 @@ void BM_CaptureOverhead(benchmark::State& state) {
       write_trace_jsonl(sink, s->net.trace());
       benchmark::DoNotOptimize(sink);
       s->net.trace().clear();
+    } else if (mode == 3) {
+      benchmark::DoNotOptimize(s->net.trace().size());
+      s->net.trace().clear();
     }
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(delivered), benchmark::Counter::kIsRate);
   state.SetLabel(mode == 0   ? "capture off"
                  : mode == 1 ? "JSONL tracing"
-                             : "binary capture");
+                 : mode == 2 ? "binary capture"
+                             : "full trace, unrendered");
 }
 BENCHMARK(BM_CaptureOverhead)
     ->Args({10000, 0})
     ->Args({10000, 1})
     ->Args({10000, 2})
+    ->Args({10000, 3})
     ->Args({100000, 0})
     ->Args({100000, 1})
     ->Args({100000, 2})
+    ->Args({100000, 3})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -441,6 +450,9 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
     } else if (name.find("BM_CaptureOverhead/10000/2") != std::string::npos) {
       report.add("capture_overhead_10k_btrace", "events_per_s", "1/s",
                  counter_rate(run, "events/s"));
+    } else if (name.find("BM_CaptureOverhead/10000/3") != std::string::npos) {
+      report.add("capture_overhead_10k_trace", "events_per_s", "1/s",
+                 counter_rate(run, "events/s"));
     } else if (name.find("BM_CaptureOverhead/100000/0") !=
                std::string::npos) {
       report.add("capture_overhead_100k_off", "events_per_s", "1/s",
@@ -452,6 +464,10 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
     } else if (name.find("BM_CaptureOverhead/100000/2") !=
                std::string::npos) {
       report.add("capture_overhead_100k_btrace", "events_per_s", "1/s",
+                 counter_rate(run, "events/s"));
+    } else if (name.find("BM_CaptureOverhead/100000/3") !=
+               std::string::npos) {
+      report.add("capture_overhead_100k_trace", "events_per_s", "1/s",
                  counter_rate(run, "events/s"));
     } else if (name.find("BM_CodecRoundTrip") != std::string::npos) {
       report.add("codec", "roundtrip_ns", "ns", ns_per_op(run));

@@ -40,6 +40,10 @@ class ByteWriter {
     u16(static_cast<std::uint16_t>(data.size()));
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
+  /// Unprefixed bytes, appended as they are.
+  void raw(std::span<const std::uint8_t> data) {
+    buf_.insert(buf_.end(), data.begin(), data.end());
+  }
   /// Length-prefixed (u16) UTF-8 string.
   void str(std::string_view s) {
     u16(static_cast<std::uint16_t>(s.size()));

@@ -320,7 +320,12 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
         });
     return;
   }
-  if (dynamic_cast<const Q931CallProceeding*>(&inner) != nullptr) {
+  if (const auto* proceeding =
+          dynamic_cast<const Q931CallProceeding*>(&inner)) {
+    // The far end has our Setup: stop retransmitting it.
+    if (proceeding->call_ref == call_ref_) {
+      retx_.ack(retx_key(RetxKind::kSetup));
+    }
     return;
   }
   if (const auto* alert = dynamic_cast<const Q931Alerting*>(&inner)) {

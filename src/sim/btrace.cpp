@@ -531,24 +531,16 @@ Result<TraceEntry> materialize(const TraceRec& rec, const RawSegment& seg) {
                 "trace record references a node id missing from the node "
                 "table");
   }
-  std::vector<std::uint8_t> wire;
-  wire.reserve(r.remaining());
-  while (r.remaining() > 0) wire.push_back(r.u8());
-  auto decoded = MessageRegistry::instance().decode(wire);
-  if (!decoded.ok()) {
-    return Error{decoded.error().code,
+  Result<TraceEntry> e = render_delivery(rec.key.at, from_it->second,
+                                         to_it->second,
+                                         rec.payload.last(r.remaining()));
+  if (!e.ok()) {
+    return Error{e.error().code,
                  record_context(rec.index, 0x10, rec.offset,
                                 ("wire image does not decode: " +
-                                 decoded.error().to_string())
+                                 e.error().to_string())
                                     .c_str())};
   }
-  const Message& msg = *decoded.value();
-  TraceEntry e;
-  e.at = rec.key.at;
-  e.from = from_it->second;
-  e.to = to_it->second;
-  e.message = std::string(msg.name());
-  e.summary = msg.summary();
   return e;
 }
 

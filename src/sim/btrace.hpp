@@ -1,12 +1,13 @@
 // vgprs.btrace.v1: packed binary observability capture.
 //
-// Full-fidelity tracing through TraceRecorder builds four heap strings per
-// delivery, which is exactly what large sharded capacity runs must turn off.
-// This module is the compact alternative: every hot-path observability
-// record is serialized into a per-shard ring buffer as a packed binary
-// record — integer stores plus the message's (allocation-free) wire
-// encoding, no name strings and no summary formatting — and an offline
-// decoder reconstructs the exact live-export artifacts later.
+// TraceRecorder keeps its packed deliveries in memory, for the run that
+// records them.  This module writes the same fields to a file: every
+// hot-path observability record is serialized into a per-shard ring buffer
+// as a packed binary record — integer stores plus the message's
+// (allocation-free) wire encoding, no name strings and no summary
+// formatting — and an offline decoder reconstructs the exact live-export
+// artifacts later, rendering deliveries through the same render_delivery()
+// the live trace uses.
 //
 // File layout (all integers big-endian, matching ByteWriter):
 //

@@ -156,12 +156,11 @@ std::string dump_forensics(const Network& net, std::size_t tail) {
   const std::size_t skip = total > tail ? total - tail : 0;
   out << "--- forensics: last " << (total - skip) << " of " << total
       << " trace entries ---\n";
-  std::size_t i = 0;
-  trace.for_each([&](const TraceEntry& e) {
-    if (i++ < skip) return;
+  for (std::size_t i = skip; i < total; ++i) {
+    const TraceEntry e = trace.entry(i);
     out << "  " << e.at.to_string() << "  " << e.from << " -> " << e.to
         << "  " << e.summary << "\n";
-  });
+  }
   const SpanTracker& spans = net.spans();
   out << "--- open spans: " << spans.open_count() << " ---\n";
   out << spans.open_to_string();

@@ -24,42 +24,41 @@ void MessageRegistry::add(std::uint16_t wire_type, std::string_view name,
   // Idempotent: protocol modules may register from several translation
   // units.  A *different* name on the same wire type is a programming error,
   // recorded for vgprs_lint rather than thrown so every clash is reported.
-  auto it = entries_.find(wire_type);
-  if (it != entries_.end()) {
-    if (it->second.name != name) {
-      collisions_.push_back(
-          Collision{wire_type, it->second.name, std::string(name)});
+  if (const Entry* e = find(wire_type)) {
+    if (e->name != name) {
+      collisions_.push_back(Collision{wire_type, e->name, std::string(name)});
     }
     return;
   }
-  entries_.emplace(wire_type, Entry{std::string(name), std::move(factory)});
+  // Flat table indexed by wire type: decode looks a type up with one bounds
+  // check and one load instead of a hash.
+  if (wire_type >= slot_.size()) slot_.resize(std::size_t{wire_type} + 1, 0);
+  entries_.push_back(Entry{wire_type, std::string(name), std::move(factory)});
+  slot_[wire_type] = static_cast<std::uint32_t>(entries_.size());
 }
 
 bool MessageRegistry::known(std::uint16_t wire_type) const {
-  return entries_.contains(wire_type);
+  return find(wire_type) != nullptr;
 }
 
 std::string_view MessageRegistry::name_of(std::uint16_t wire_type) const {
-  auto it = entries_.find(wire_type);
-  return it == entries_.end() ? std::string_view{"<unknown>"}
-                              : std::string_view{it->second.name};
+  const Entry* e = find(wire_type);
+  return e == nullptr ? std::string_view{"<unknown>"}
+                      : std::string_view{e->name};
 }
 
 std::vector<std::uint16_t> MessageRegistry::types() const {
   std::vector<std::uint16_t> out;
   out.reserve(entries_.size());
-  for (const auto& [type, entry] : entries_) {
-    (void)entry;
-    out.push_back(type);
-  }
+  for (const Entry& e : entries_) out.push_back(e.wire_type);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 std::unique_ptr<Message> MessageRegistry::create(
     std::uint16_t wire_type) const {
-  auto it = entries_.find(wire_type);
-  return it == entries_.end() ? nullptr : it->second.factory();
+  const Entry* e = find(wire_type);
+  return e == nullptr ? nullptr : e->factory();
 }
 
 Result<std::unique_ptr<Message>> MessageRegistry::decode(
@@ -69,22 +68,20 @@ Result<std::unique_ptr<Message>> MessageRegistry::decode(
   if (r.failed()) {
     return Error{ErrorCode::kDecodeTruncated, "missing wire type"};
   }
-  auto it = entries_.find(type);
-  if (it == entries_.end()) {
+  const Entry* e = find(type);
+  if (e == nullptr) {
     return Error{ErrorCode::kDecodeUnknownType,
                  "wire type " + std::to_string(type)};
   }
-  std::unique_ptr<Message> msg = it->second.factory();
+  std::unique_ptr<Message> msg = e->factory();
   if (Status st = msg->decode_payload(r); !st.ok()) {
-    return Error{st.error().code,
-                 it->second.name + ": " + st.error().message};
+    return Error{st.error().code, e->name + ": " + st.error().message};
   }
   if (r.failed()) {
-    return Error{ErrorCode::kDecodeTruncated, it->second.name};
+    return Error{ErrorCode::kDecodeTruncated, e->name};
   }
   if (r.remaining() != 0) {
-    return Error{ErrorCode::kDecodeBadValue,
-                 it->second.name + ": trailing bytes"};
+    return Error{ErrorCode::kDecodeBadValue, e->name + ": trailing bytes"};
   }
   return msg;
 }

@@ -12,7 +12,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -124,10 +123,18 @@ class MessageRegistry {
 
  private:
   struct Entry {
+    std::uint16_t wire_type;
     std::string name;
     Factory factory;
   };
-  std::unordered_map<std::uint16_t, Entry> entries_;
+  /// The registered entry for `wire_type`, or null.
+  [[nodiscard]] const Entry* find(std::uint16_t wire_type) const {
+    return wire_type < slot_.size() && slot_[wire_type] != 0
+               ? &entries_[slot_[wire_type] - 1]
+               : nullptr;
+  }
+  std::vector<Entry> entries_;       // registration order
+  std::vector<std::uint32_t> slot_;  // wire type -> entries_ index + 1
   std::vector<Collision> collisions_;
 };
 

@@ -779,14 +779,10 @@ void Network::cancel_timer(TimerId id) {
 
 // --- execution --------------------------------------------------------------
 
-void Network::record_trace(Shard& sh, bool buffered, TraceEntry entry) {
-  if (buffered) {
-    DispatchKey key = sh.cur_key;
-    key.sub = sh.cur_key.sub++;
-    sh.trace_buf.push_back(BufferedTrace{key, std::move(entry)});
-  } else {
-    trace_.record(std::move(entry));
-  }
+void Network::buffer_trace(Shard& sh, const TraceRecord& rec) {
+  DispatchKey key = sh.cur_key;
+  key.sub = sh.cur_key.sub++;
+  sh.trace_buf.push_back(BufferedTrace{key, rec});
 }
 
 void Network::record_fault(SimTime at, const std::string& from,
@@ -799,8 +795,13 @@ void Network::record_fault(SimTime at, const std::string& from,
     sh.capture.fault(key, at, from, to, what, detail);
   }
   if (!trace_.enabled()) return;
-  record_trace(cur(), in_sharded_dispatch(),
-               TraceEntry{at, from, to, std::move(what), std::move(detail)});
+  const TraceEntry entry{at, from, to, std::move(what), std::move(detail)};
+  if (in_sharded_dispatch()) {
+    Shard& sh = cur();
+    buffer_trace(sh, TraceRecorder::pack_entry(sh.trace_bytes, entry));
+  } else {
+    trace_.record(entry);
+  }
 }
 
 void Network::dispatch(Event ev, Shard& sh, bool buffered) {
@@ -857,15 +858,17 @@ void Network::dispatch(Event ev, Shard& sh, bool buffered) {
     }
   }
   if (trace_.enabled()) {
-    // The entry (and the message's parameter summary) is only built when a
-    // trace consumer exists; with tracing disabled a delivery costs no
-    // string work at all.
-    record_trace(sh, buffered,
-                 TraceEntry{ev.at, src->name(), dst->name(),
-                            std::string(ev.msg->name()), ev.msg->summary()});
+    // Packed record: endpoint ids and the delivered message's wire image.
+    // Names and the parameter summary are rendered when the trace is read.
+    if (buffered) {
+      buffer_trace(sh, TraceRecorder::pack_delivery(sh.trace_bytes, ev.at,
+                                                    ev.from, ev.to, *ev.msg));
+    } else {
+      trace_.record_delivery(ev.at, ev.from, ev.to, *ev.msg);
+    }
   }
   VG_DEBUG("net", src->name() << " -> " << dst->name() << " "
-                              << ev.msg->summary());
+                              << ev.msg->name());
   Envelope env{ev.at, ev.from, ev.to, std::move(ev.msg)};
   dst->on_message(env);
 }
@@ -949,20 +952,28 @@ void Network::merge_shard_buffers() {
   std::size_t total = 0;
   for (auto& sh : shards_) total += sh->trace_buf.size();
   if (total != 0) {
-    std::vector<BufferedTrace> all;
+    struct Pending {
+      const BufferedTrace* bt;
+      const ByteWriter* bytes;
+    };
+    std::vector<Pending> all;
     all.reserve(total);
     for (auto& sh : shards_) {
-      for (BufferedTrace& bt : sh->trace_buf) all.push_back(std::move(bt));
-      sh->trace_buf.clear();
+      for (const BufferedTrace& bt : sh->trace_buf) {
+        all.push_back(Pending{&bt, &sh->trace_bytes});
+      }
     }
     // DispatchKeys are unique (seq identifies the dispatch, sub the record
     // within it), so this sort is a strict total order — the exact order
     // the sequential engine would have recorded in.
-    std::sort(all.begin(), all.end(),
-              [](const BufferedTrace& a, const BufferedTrace& b) {
-                return a.key < b.key;
-              });
-    for (BufferedTrace& bt : all) trace_.record(std::move(bt.entry));
+    std::sort(all.begin(), all.end(), [](const Pending& a, const Pending& b) {
+      return a.bt->key < b.bt->key;
+    });
+    for (const Pending& p : all) trace_.append(p.bt->rec, p.bytes->data());
+    for (auto& sh : shards_) {
+      sh->trace_buf.clear();
+      sh->trace_bytes.clear();
+    }
   }
 
   total = 0;

@@ -593,9 +593,11 @@ class Network {
     std::uint32_t link = 0;  // index into link_profiles_
   };
 
+  /// A packed trace record from a sharded dispatch; its bytes live in the
+  /// dispatching shard's trace_bytes arena.
   struct BufferedTrace {
     DispatchKey key;
-    TraceEntry entry;
+    TraceRecord rec;
   };
 
   /// Everything one worker thread touches while executing its shard: event
@@ -623,6 +625,7 @@ class Network {
     alignas(64) NetworkStats stats;  // raw hot-path increments, own line
     MetricsRegistry metrics;
     std::vector<BufferedTrace> trace_buf;
+    ByteWriter trace_bytes;  // arena behind trace_buf's records
     std::vector<SpanTracker::Op> span_ops;
     BtraceShardBuffer capture;  // packed binary record ring (btrace.hpp)
     std::unique_ptr<OutboxRing[]> outbox;  // index = destination shard
@@ -690,7 +693,9 @@ class Network {
   /// the origin's outbox (mid-window cross-shard send), or the destination
   /// heap directly (single-threaded stimulus between runs).
   void route_event(Shard& origin, bool buffered, Event ev);
-  void record_trace(Shard& sh, bool buffered, TraceEntry entry);
+  /// Buffers a trace record packed into sh.trace_bytes under the next
+  /// DispatchKey of the current dispatch (sharded run).
+  static void buffer_trace(Shard& sh, const TraceRecord& rec);
   /// Recomputes shard_la_us_: per shard, the minimum latency over its
   /// cross-shard links (a huge sentinel when it has none — an island shard
   /// never constrains the window).  Throws if any cross-shard link has
@@ -755,7 +760,7 @@ class Network {
 
   bool serialize_links_ = true;
   FaultInjector* fault_ = nullptr;  // owned via nodes_; null = no faults
-  TraceRecorder trace_;
+  TraceRecorder trace_{this};
   SpanTracker spans_;
   MetricsRegistry metrics_;
   bool capture_on_ = false;

@@ -388,5 +388,63 @@ TEST(FailureTest, VmscRejectsCallFromUnregisteredMs) {
   EXPECT_FALSE(failure.empty());
 }
 
+// H323Terminal's Setup retransmitter is acked by the callee's
+// Q931_Call_Proceeding, so a connected terminal-originated call cycle
+// resends nothing and gives nothing up.
+TEST(FailureTest, TerminalSetupIsAckedByCallProceeding) {
+  VgprsParams params;
+  params.seed = 7;
+  auto s = build_vgprs(params);
+  s->ms[0]->power_on();
+  s->terminals[0]->register_endpoint();
+  s->settle();
+  s->terminals[0]->place_call(s->ms[0]->config().msisdn);
+  s->settle();
+  EXPECT_EQ(s->terminals[0]->state(), H323Terminal::State::kConnected);
+  s->terminals[0]->hangup();
+  s->settle();
+  EXPECT_EQ(s->terminals[0]->state(), H323Terminal::State::kRegistered);
+  EXPECT_EQ(s->ms[0]->state(), MobileStation::State::kIdle);
+  EXPECT_EQ(s->net.metrics().counter("recovery/retransmits"), 0);
+  EXPECT_EQ(s->net.metrics().counter("recovery/give_ups"), 0);
+}
+
+// The ack does not cost the recovery: a Setup lost on the way is re-sent
+// and the call still connects.
+TEST(FailureTest, TerminalRetransmitsALostSetup) {
+  VgprsParams params;
+  params.seed = 7;
+  auto s = build_vgprs(params);
+  // TERM1's datagrams: RRQ, ARQ, then the Setup.
+  FaultSchedule sched;
+  sched.message_faults.push_back(
+      {MessagePredicate{"IP_Datagram", "TERM1", "", 3, 1}, FaultKind::kDrop});
+  s->net.install_faults(std::move(sched));
+  s->ms[0]->power_on();
+  s->terminals[0]->register_endpoint();
+  s->settle();
+  s->terminals[0]->place_call(s->ms[0]->config().msisdn);
+  s->settle();
+  // The dropped datagram was the Setup: the only Setup that left TERM1 is
+  // the resend, one retransmission interval later.
+  std::vector<SimTime> setups;
+  std::vector<SimTime> drops;
+  s->net.trace().for_each([&](const TraceEntry& e) {
+    if (e.from != "TERM1") return;
+    if (e.summary.find("[Q931_Setup]") != std::string::npos) {
+      setups.push_back(e.at);
+    } else if (e.message.starts_with("fault.")) {
+      drops.push_back(e.at);
+    }
+  });
+  ASSERT_EQ(setups.size(), 1u);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_GE(setups[0] - drops[0], SimDuration::seconds(1));
+  EXPECT_EQ(s->net.faults()->faults_applied(0), 1u);
+  EXPECT_EQ(s->terminals[0]->state(), H323Terminal::State::kConnected);
+  EXPECT_EQ(s->net.metrics().counter("recovery/retransmits"), 1);
+  EXPECT_EQ(s->net.metrics().counter("recovery/give_ups"), 0);
+}
+
 }  // namespace
 }  // namespace vgprs

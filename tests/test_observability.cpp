@@ -5,6 +5,7 @@
 // handoff export the vgprs_report tool ships.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -238,6 +239,69 @@ TEST(TraceRingTest, ClearAfterWrapResetsHeadAndKeepsRecording) {
   std::vector<std::string> seen;
   t.for_each([&](const TraceEntry& e) { seen.push_back(e.message); });
   EXPECT_EQ(seen, (std::vector<std::string>{"m100", "m101"}));
+}
+
+// --- Render-on-read trace ----------------------------------------------------
+
+/// Everything a reader can get out of a trace: the listing with summaries
+/// and the JSONL export.
+std::string full_trace_text(const TraceRecorder& trace) {
+  std::ostringstream os;
+  os << trace.to_string(std::numeric_limits<std::size_t>::max());
+  write_trace_jsonl(os, trace);
+  return os.str();
+}
+
+std::string fig5_trace_text(bool serialize_links) {
+  VgprsParams params;
+  params.seed = 7;
+  auto s = build_vgprs(params);
+  s->net.set_serialize_links(serialize_links);
+  s->ms[0]->power_on();
+  s->terminals[0]->register_endpoint();
+  s->settle();
+  s->ms[0]->dial(make_subscriber(88, 1000).msisdn);
+  s->settle();
+  s->ms[0]->hangup();
+  s->settle();
+  return full_trace_text(s->net.trace());
+}
+
+std::string fig6_trace_text(bool serialize_links) {
+  VgprsParams params;
+  params.seed = 7;
+  auto s = build_vgprs(params);
+  s->net.set_serialize_links(serialize_links);
+  s->ms[0]->power_on();
+  s->terminals[0]->register_endpoint();
+  s->settle();
+  s->terminals[0]->place_call(s->ms[0]->config().msisdn);
+  s->settle();
+  return full_trace_text(s->net.trace());
+}
+
+// An explicit entry keeps its strings whole, however long.
+TEST(TraceRenderOnRead, LongExplicitEntryKeepsItsStrings) {
+  TraceRecorder t;
+  const std::string detail(70'000, 'x');
+  t.record(TraceEntry{SimTime::from_micros(5), "A", "B", "fault.note", detail});
+  t.record(numbered_entry(1));
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.entry(0).summary, detail);
+  EXPECT_EQ(t.entry(0).message, "fault.note");
+  EXPECT_EQ(t.entry(1).message, "m1");
+  EXPECT_EQ(t.count(FlowStep{"A", "fault.note", "B"}), 1u);
+}
+
+// With links serialized the trace packs decoded copies; without, the
+// sender's own objects.  Rendered on read, both give the same text.
+TEST(TraceRenderOnRead, LinkSerializationDoesNotChangeTheTraceText) {
+  for (auto* scenario : {&fig5_trace_text, &fig6_trace_text}) {
+    const std::string serialized = scenario(true);
+    EXPECT_NE(serialized.find("\"summary\""), std::string::npos);
+    EXPECT_NE(serialized.find("Um_Setup"), std::string::npos);
+    EXPECT_EQ(serialized, scenario(false));
+  }
 }
 
 // --- MetricsRegistry --------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -131,6 +132,76 @@ TEST(ShardedEngine, Fig6MatchesSequentialGolden) {
     s->terminals[0]->place_call(s->ms[0]->config().msisdn);
     s->settle();
     expect_golden("fig6_termination", canonical(s->net.trace()), w);
+  }
+}
+
+// Sharded runs buffer packed trace records per shard and hand them to the
+// recorder at the merge.  The full text of the trace — summaries, fault
+// annotations and the JSONL export included — does not depend on the
+// worker count.
+std::string full_trace_text(const TraceRecorder& trace) {
+  std::ostringstream os;
+  os << trace.to_string(std::numeric_limits<std::size_t>::max());
+  write_trace_jsonl(os, trace);
+  return os.str();
+}
+
+// Figs. 4, 5 (first A_Setup lost) and 6 one after the other: the sequence
+// the sequential engine's goldens pin.
+std::string packed_trace_figs(bool sharded, unsigned workers) {
+  VgprsParams params = sharded_vgprs_params(workers);
+  params.sharded = sharded;
+  auto s = build_vgprs(params);
+  // Sender and receiver named: a fault's "nth match" is counted per
+  // shard, and Fig. 6 sends an A_Setup the other way (sim/fault.hpp).
+  FaultSchedule sched;
+  sched.message_faults.push_back(
+      {MessagePredicate{"A_Setup", "BSC", "VMSC", 1, 1}, FaultKind::kDrop});
+  s->net.install_faults(std::move(sched));
+  s->ms[0]->power_on();
+  s->terminals[0]->register_endpoint();
+  s->settle();
+  s->ms[0]->dial(make_subscriber(88, 1000).msisdn);
+  s->settle();
+  s->ms[0]->hangup();
+  s->settle();
+  s->terminals[0]->place_call(s->ms[0]->config().msisdn);
+  s->settle();
+  s->terminals[0]->hangup();
+  s->settle();
+  return full_trace_text(s->net.trace());
+}
+
+// An MO and an MT call at once, so every window merges interleaved
+// records from several shards.
+std::string packed_trace_concurrent(unsigned workers) {
+  VgprsParams params = sharded_vgprs_params(workers);
+  params.num_ms = 2;
+  params.num_terminals = 2;
+  auto s = build_vgprs(params);
+  s->ms[0]->power_on();
+  s->ms[1]->power_on();
+  s->terminals[0]->register_endpoint();
+  s->terminals[1]->register_endpoint();
+  s->settle();
+  s->ms[0]->dial(make_subscriber(88, 1000).msisdn);
+  s->terminals[1]->place_call(s->ms[1]->config().msisdn);
+  s->settle();
+  s->ms[0]->hangup();
+  s->terminals[1]->hangup();
+  s->settle();
+  return full_trace_text(s->net.trace());
+}
+
+TEST(ShardedEngine, PackedTraceTextMatchesSequentialAtAnyWorkerCount) {
+  const std::string sequential = packed_trace_figs(false, 1);
+  EXPECT_NE(sequential.find("fault.drop(A_Setup)"), std::string::npos);
+  EXPECT_NE(sequential.find("[Q931_Connect]"), std::string::npos);
+  const std::string concurrent = packed_trace_concurrent(1);
+  EXPECT_NE(concurrent.find("MS2"), std::string::npos);
+  for (unsigned w : kWorkerCounts) {
+    EXPECT_EQ(packed_trace_figs(true, w), sequential) << w << " worker(s)";
+    EXPECT_EQ(packed_trace_concurrent(w), concurrent) << w << " worker(s)";
   }
 }
 
@@ -757,6 +828,8 @@ struct FanRun {
 FanRun observe(FanWorld& w, std::vector<std::size_t> processed,
                std::uint64_t pooled_before) {
   FanRun r;
+  // Counted before the trace is read: rendering decodes every delivery.
+  r.pooled_allocs = message_pool_stats().pooled_allocs - pooled_before;
   r.processed = std::move(processed);
   Network& net = *w.net;
   std::ostringstream tos;
@@ -778,7 +851,6 @@ FanRun observe(FanWorld& w, std::vector<std::size_t> processed,
   net.write_capture_segment(cos, "fan", events, snap);
   r.capture = cos.str();
   r.stats = net.stats();
-  r.pooled_allocs = message_pool_stats().pooled_allocs - pooled_before;
   return r;
 }
 

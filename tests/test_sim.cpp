@@ -2,6 +2,7 @@
 // link characteristics, tracing and statistics.
 #include <gtest/gtest.h>
 
+#include "sim/fault.hpp"
 #include "sim/network.hpp"
 #include "sim/proto.hpp"
 #include "sim/stats.hpp"
@@ -31,6 +32,7 @@ class Probe final : public Node {
   void on_message(const Envelope& env) override {
     arrivals.push_back(now());
     values.push_back(dynamic_cast<const Ping&>(*env.msg).value);
+    summaries.push_back(env.msg->summary());
     if (echo_) send(env.from, MessagePtr(env.msg->clone()));
   }
   void on_timer(TimerId, std::uint64_t cookie) override {
@@ -39,6 +41,7 @@ class Probe final : public Node {
 
   std::vector<SimTime> arrivals;
   std::vector<std::uint32_t> values;
+  std::vector<std::string> summaries;  // what the handler was given
   std::vector<std::uint64_t> timer_cookies;
 
  private:
@@ -260,6 +263,73 @@ TEST_F(SimTest, RingTraceKeepsLastEntriesInOrder) {
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(summaries[i], "Ping {" + std::to_string(6 + i) + "}");
   }
+}
+
+// A packed ring drops whole records and compacts its arena as they fall
+// out: after 100k deliveries it holds exactly the last N, oldest first, in
+// a few KiB.
+TEST_F(SimTest, RingTraceArenaStaysBoundedOverLongRuns) {
+  constexpr std::uint32_t kDeliveries = 100'000;
+  constexpr std::size_t kRing = 16;
+  Network net;
+  net.trace().set_mode(TraceMode::kRing, kRing);
+  auto& a = net.add<Probe>("a");
+  auto& b = net.add<Probe>("b");
+  net.connect(a, b, LinkProfile{});
+  std::size_t max_arena = 0;
+  for (std::uint32_t i = 0; i < kDeliveries; ++i) {
+    auto ping = std::make_shared<Ping>();
+    ping->value = i;
+    net.send(a.id(), b.id(), std::move(ping));
+    if (i % 1000 != 999) continue;
+    // Checked at every batch, so records kept across a compaction are read
+    // too, not only ones appended since the last.
+    net.run_until_idle();
+    max_arena = std::max(max_arena, net.trace().arena_bytes());
+    ASSERT_EQ(net.trace().size(), kRing);
+    const std::vector<TraceEntry> kept = net.trace().entries();
+    for (std::size_t k = 0; k < kRing; ++k) {
+      const std::uint32_t v = i + 1 - kRing + static_cast<std::uint32_t>(k);
+      ASSERT_EQ(kept[k].summary, "Ping {" + std::to_string(v) + "}");
+      ASSERT_EQ(kept[k].from, "a");
+      ASSERT_EQ(kept[k].to, "b");
+    }
+    ASSERT_EQ(net.trace().count("Ping"), kRing);
+  }
+  ASSERT_EQ(b.values.size(), kDeliveries);
+  // 16 six-byte images plus compaction slack; unbounded, 600 KB.
+  EXPECT_LE(max_arena, std::size_t{8192});
+}
+
+// A corrupted frame that still decodes is delivered as whatever the codec
+// made of it; the trace, rendered later from the packed record, shows that
+// same message, not the one the sender built.
+TEST_F(SimTest, CorruptedDeliveryRendersTheSummaryTheHandlerReceived) {
+  Network net;
+  auto& a = net.add<Probe>("a");
+  auto& b = net.add<Probe>("b");
+  net.connect(a, b, LinkProfile{});
+  FaultSchedule sched;
+  MessageFault corrupt;
+  corrupt.match.message = "Ping";
+  corrupt.kind = FaultKind::kCorrupt;
+  corrupt.corrupt_byte = 5;  // low byte of the u32 value: still decodable
+  sched.message_faults.push_back(corrupt);
+  net.install_faults(std::move(sched));
+  auto ping = std::make_shared<Ping>();
+  ping->value = 0x01020304;
+  net.send(a.id(), b.id(), std::move(ping));
+  net.run_until_idle();
+  ASSERT_EQ(b.values.size(), 1u);
+  EXPECT_EQ(b.values[0], 0x010203FBu);
+  std::vector<TraceEntry> deliveries;
+  net.trace().for_each([&](const TraceEntry& e) {
+    if (e.message == "Ping") deliveries.push_back(e);
+  });
+  ASSERT_EQ(deliveries.size(), 1u);
+  EXPECT_EQ(deliveries[0].summary, b.summaries[0]);
+  EXPECT_EQ(deliveries[0].summary,
+            "Ping {" + std::to_string(0x010203FBu) + "}");
 }
 
 TEST_F(SimTest, NodeLookupByNameIsTransparent) {
