@@ -12,12 +12,21 @@
 //    counter does — a send performed earlier in simulated time allocated
 //    the smaller global seq, because the counter is monotone in time;
 //  * `seq` is unique (origin shard in the top bits, per-shard counter
-//    below), so the order is strict even across shards.
+//    below), so the order is strict even across shards.  There it can
+//    differ from the sequential engine's: two events with equal
+//    (at, sent_at) sent from different shards order by origin shard
+//    index, where the sequential engine orders them by global send order.
+//
+// So a sharded run is worker-count-invariant (its order depends on the
+// shard plan, never on threads), and it equals the sequential run when no
+// such cross-shard tie occurs.  Every golden runs one procedure at a time
+// and has none; concurrent procedures can (two calls hung up together).
 //
 // Observability records produced *during* one dispatch (trace entries,
 // span opens/closes, fault annotations) extend the triple with `sub`, the
 // record's ordinal within its dispatch, so a deterministic merge of
-// per-shard buffers reproduces the exact sequential recording order.
+// per-shard buffers reproduces the order in which one thread executing
+// the same event order would have recorded them.
 #pragma once
 
 #include <cstdint>

@@ -30,8 +30,8 @@ class QuadHeap {
     return v_.front();
   }
 
-  /// Moves [first, last) into the heap in one batch.  A large batch (the
-  /// per-window cross-shard inbox commit) appends everything and rebuilds
+  /// Moves [first, last) into the heap in one batch.  A large batch (one
+  /// window's mail from one shard) appends everything and rebuilds
   /// bottom-up in O(n); a small one falls back to individual sifts.  The
   /// internal layout may differ between the two paths, but pop order is
   /// governed by the comparator — a strict total order over events — so

@@ -70,8 +70,8 @@ constexpr std::size_t kNodeChunkBytes = 256 * 1024;
 thread_local Network::TlCtx Network::tl_ctx_;
 
 Network::Network(std::uint64_t seed) : seed_(seed) {
-  // Outbox rings exist only on a sharded network (set_shards allocates
-  // them); the sequential engine never routes through a mailbox.
+  // Mailboxes exist only on a sharded network (set_shards allocates them);
+  // the sequential engine never routes through one.
   shards_.push_back(std::make_unique<Shard>(seed));
   shards_.front()->fan_by_dest.resize(1);
   shards_.front()->fan_count.resize(1);
@@ -261,7 +261,7 @@ void Network::set_shards(const std::vector<std::vector<NodeId>>& groups) {
     shards_.push_back(std::move(sh));
   }
   for (auto& sh : shards_) {
-    sh->outbox = std::make_unique<OutboxRing[]>(shards_.size());
+    for (auto& m : sh->mail) m = std::vector<Mailbox>(shards_.size());
     sh->fan_by_dest.resize(shards_.size());
     sh->fan_count.resize(shards_.size());
   }
@@ -491,12 +491,12 @@ void Network::route_event(Shard& origin, bool buffered, Event ev) {
   if (dest == origin.index) {
     origin.queue.push(std::move(ev));
   } else if (buffered) {
-    // Mid-window cross-shard send: staged in the origin's SPSC ring and made
-    // visible to the destination in one release-commit at the window barrier.
-    // Conservative-safe: ev.at >= origin.now + lookahead >= window end.
-    OutboxRing& ring = origin.outbox[dest];
-    if (!ring.has_staged()) origin.outbox_touched.push_back(dest);
-    ring.push(std::move(ev));
+    // Mid-window cross-shard send: the destination drains it at the top of
+    // the next window, after the barrier.  Conservative-safe: ev.at >=
+    // origin.now + lookahead >= window end.
+    Mailbox& box = origin.mail[mail_parity_][dest];
+    box.min_at_us = std::min(box.min_at_us, ev.at.count_micros());
+    box.events.push_back(std::move(ev));
   } else {
     // Single-threaded stimulus between runs goes straight in.
     shards_[dest]->queue.push(std::move(ev));
@@ -933,19 +933,14 @@ void Network::process_window(Shard& sh, SimTime t_end) {
   }
 }
 
-void Network::drain_inboxes(Shard& sh) {
-  // Pull every producer's committed-but-undrained events into the heap.
-  // Commits were released before the barrier that started this window, so
-  // the acquire inside drain_into observes complete Event objects.
-  for (auto& other : shards_) {
-    other->outbox[sh.index].drain_into(sh.queue);
+void Network::drain_mail(Shard& sh, unsigned parity) {
+  for (auto& src : shards_) {
+    Mailbox& box = src->mail[parity][sh.index];
+    if (box.events.empty()) continue;
+    sh.queue.push_bulk(box.events.begin(), box.events.end());
+    box.events.clear();
+    box.min_at_us = kNeverUs;
   }
-  sh.next_at = sh.queue.empty() ? kNever : sh.queue.top().at;
-}
-
-void Network::commit_outboxes(Shard& sh) {
-  for (std::uint32_t d : sh.outbox_touched) sh.outbox[d].commit();
-  sh.outbox_touched.clear();
 }
 
 void Network::merge_shard_buffers() {
@@ -1052,11 +1047,10 @@ std::size_t Network::run_windowed(SimTime limit) {
   // with no active cross-shard constraint at all, one window runs to the
   // limit.
   //
-  // eff_next_s folds in committed-but-undrained ring events (a quiet shard
-  // is not drained, and even an active one only drains at its next window
-  // start).  Scanning the rings here is safe: commit records are producer-
-  // written during the window and advance-read at the barrier, when every
-  // producer is quiescent — never concurrently.
+  // eff_next_s folds in the mail sent to s in the window that just ended,
+  // which s drains only at the top of the next one.  Every earlier window's
+  // mail is already in s's heap: each window starts by draining all of it,
+  // quiet shards included.
   auto advance = [&] {
     // Every worker that could have stored an error arrived before this
     // completion ran, so the read needs no lock.
@@ -1066,12 +1060,12 @@ std::size_t Network::run_windowed(SimTime limit) {
     }
     for (std::uint32_t d = 0; d < num_shards; ++d) {
       std::int64_t eff = shards_[d]->next_at.count_micros();
-      for (std::uint32_t s = 0; s < num_shards; ++s) {
-        if (s == d) continue;
-        eff = std::min(eff, shards_[s]->outbox[d].undrained_min_us());
+      for (auto& src : shards_) {
+        eff = std::min(eff, src->mail[mail_parity_][d].min_at_us);
       }
       eff_next_us[d] = eff;
     }
+    mail_parity_ ^= 1;
     std::int64_t t_us = kNeverMicros;
     for (std::uint32_t d = 0; d < num_shards; ++d)
       t_us = std::min(t_us, eff_next_us[d]);
@@ -1119,36 +1113,33 @@ std::size_t Network::run_windowed(SimTime limit) {
     auto worker = [&](unsigned w) {
       const std::uint64_t owned = (num_shards - w + W - 1) / W;
       while (true) {
-        // Only the shards the advance found active run.  A quiet shard has
-        // no heap event and no committed inbound event below t_end, and
-        // nothing sent during this window can land below it (lookahead), so
-        // its inboxes stay undrained: the advance keeps seeing them, and
-        // the shard turns active in the first window whose end passes its
-        // earliest event.
+        // Every owned shard takes in the last window's mail, but only the
+        // shards the advance found active run.  A quiet shard has no event
+        // below t_end, and nothing sent during this window can land below
+        // it (lookahead); it turns active in the first window whose end
+        // passes its earliest event.
         const SimTime t_end = ctl.t_end;
+        const unsigned inbound = mail_parity_ ^ 1;
         bool ran = false;
         for (std::uint32_t s = w; s < num_shards; s += W) {
-          if (eff_next_us[s] >= t_end.count_micros()) continue;
-          ran = true;
           Shard& sh = *shards_[s];
           const auto t0 = stamp();
-          drain_inboxes(sh);
+          drain_mail(sh, inbound);
           const auto t1 = stamp();
-          try {
-            process_window(sh, t_end);
-          } catch (...) {
-            // Keep arriving at the gate (abandoning would wedge the other
-            // workers); the next advance() sees the error and stops all.
-            std::lock_guard<std::mutex> lock(ctl.error_mu);
-            if (!ctl.error) ctl.error = std::current_exception();
+          if (eff_next_us[s] < t_end.count_micros()) {
+            ran = true;
+            try {
+              process_window(sh, t_end);
+            } catch (...) {
+              // Keep arriving at the gate (abandoning would wedge the other
+              // workers); the next advance() sees the error and stops all.
+              std::lock_guard<std::mutex> lock(ctl.error_mu);
+              if (!ctl.error) ctl.error = std::current_exception();
+            }
+            if (shard_stats_) sh.perf.busy_ns += ns(stamp() - t1);
           }
-          const auto t2 = stamp();
-          commit_outboxes(sh);
           sh.next_at = sh.queue.empty() ? kNever : sh.queue.top().at;
-          if (shard_stats_) {
-            sh.perf.busy_ns += ns(t2 - t1);
-            sh.perf.drain_ns += ns(t1 - t0) + ns(Clock::now() - t2);
-          }
+          if (shard_stats_) sh.perf.drain_ns += ns(t1 - t0);
         }
         const auto t0 = stamp();
         gate.arrive_and_wait(advance);
@@ -1172,6 +1163,12 @@ std::size_t Network::run_windowed(SimTime limit) {
       worker(0);
       for (std::thread& th : threads) th.join();
     }
+  }
+  // A deadline or an error ends the run with the last window's mail still
+  // staged; between runs every pending event sits in its shard's heap.
+  for (auto& sh : shards_) {
+    drain_mail(*sh, 0);
+    drain_mail(*sh, 1);
   }
 
   // Equalize clocks so now() is single-valued for stimulus between runs
@@ -1203,15 +1200,6 @@ std::size_t Network::run_until(SimTime deadline) {
 bool Network::idle() const {
   for (const auto& sh : shards_) {
     if (!sh->queue.empty()) return false;
-  }
-  if (shards_.size() > 1) {
-    // A deadline-bounded run can end with events committed to an outbox
-    // ring but not yet drained into the destination heap.
-    for (const auto& sh : shards_) {
-      for (std::size_t d = 0; d < shards_.size(); ++d) {
-        if (!sh->outbox[d].empty_quiescent()) return false;
-      }
-    }
   }
   return true;
 }

@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -96,7 +95,7 @@ struct ShardPerfStats {
   std::uint64_t events = 0;         // events dispatched
   std::uint64_t fused_windows = 0;  // windows sat out quiet (none due)
   std::uint64_t busy_ns = 0;        // dispatching events
-  std::uint64_t drain_ns = 0;       // inbox drain + outbox commit
+  std::uint64_t drain_ns = 0;       // moving inbound mail into the heap
   std::uint64_t barrier_ns = 0;     // owner's gate wait, windows it ran a shard
   std::uint64_t idle_ns = 0;        // owner's gate wait, windows it ran none
 };
@@ -183,9 +182,10 @@ class Network {
   /// (node degree is the rate proxy: every link is a traffic source).  A
   /// component heavier than 1.5x the mean is split by distributing its leaf
   /// nodes round-robin, so one hot cell stops serializing every window.
-  /// Groups are ordered by their smallest node id, which keeps shard-packed
-  /// sequence numbers aligned with node-creation order — the property that
-  /// makes sharded traces reproduce the sequential engine's tie-breaks.
+  /// Groups are ordered by their smallest node id, so shard indices (and
+  /// the shard-packed sequence numbers) follow node-creation order.  Runs on
+  /// any plan are worker-count-invariant; they equal the sequential engine's
+  /// while no cross-shard tie occurs (see dispatch_key.hpp).
   /// Purely a function of the topology: deterministic, never draws RNG.
   /// Returns a plan for set_shards(); groups[0] is empty (the core is the
   /// implicit shard 0).
@@ -384,8 +384,9 @@ class Network {
     std::uint32_t timer_gen = 0;
   };
   static_assert(sizeof(Event) == 64, "the heap moves Events on every sift");
-  /// The engine's total execution order; see dispatch_key.hpp for why this
-  /// exactly reproduces the sequential engine's (at, global seq) order.
+  /// The engine's total execution order (see dispatch_key.hpp).  On one
+  /// shard it is the sequential engine's (at, global seq) order; across
+  /// shards, equal (at, sent_at) ties break by origin shard instead.
   struct EventBefore {
     bool operator()(const Event& a, const Event& b) const {
       if (a.at != b.at) return a.at < b.at;
@@ -397,176 +398,15 @@ class Network {
   static constexpr std::int64_t kNeverUs =
       std::numeric_limits<std::int64_t>::max();
 
-  /// Wait-free SPSC mailbox for one (source shard, destination shard) pair.
-  /// The producer (the worker owning the source shard) appends events to a
-  /// chain of fixed-size chunks during its window and publishes them with
-  /// ONE release-store per window — a sequence-stamped bulk commit carrying
-  /// the batch's minimum timestamp and the window index it was made in.
-  /// The consumer (the worker owning the destination shard) drains committed
-  /// events into its heap at window start; the window protocol guarantees a
-  /// commit made in window n is visible at the start of window n+1, so the
-  /// advance can tell exactly which commits are still undrained from the
-  /// destination's last-drain window alone — no consumer->producer counter
-  /// traffic on the hot path.  Producer and consumer halves live on separate
-  /// cache lines; the whole ring is line-aligned so adjacent (src,dst) pairs
-  /// never share a line.
-  struct alignas(64) OutboxRing {
-    static constexpr std::size_t kChunkEvents = 64;
-    struct Chunk {
-      std::array<Event, kChunkEvents> ev;
-      std::atomic<Chunk*> next{nullptr};
-    };
-    /// One bulk commit: everything the producer staged during one window.
-    struct Commit {
-      std::uint64_t upto;      // cumulative event count after this commit
-      std::int64_t min_at_us;  // min Event::at over the batch, microseconds
-    };
-
-    // --- producer half ---
-    Chunk* tail_chunk = nullptr;
-    std::uint64_t appended = 0;          // events staged (incl. uncommitted)
-    std::int64_t staged_min_us = kNeverUs;
-    std::uint64_t committed_local = 0;   // producer's copy of `committed`
-    std::vector<Commit> commits;         // producer-written; advance-read
-    std::atomic<Chunk*> first{nullptr};
-    std::atomic<std::uint64_t> committed{0};
-
-    // Exhausted chunks recycle through a tiny Treiber stack instead of the
-    // heap, so steady state is allocation-free.  ABA-safe without tagging:
-    // only the consumer pushes and only the producer pops, so a head the
-    // popper saw can never be re-pushed behind its back.
-    alignas(64) std::atomic<Chunk*> free_chunks{nullptr};
-
-    // --- consumer half ---
-    alignas(64) Chunk* head_chunk = nullptr;
-    std::size_t head_off = 0;
-    // Cumulative events drained.  Atomic because the producer reads it
-    // (relaxed, for commit-log compaction) while the consumer may be
-    // storing; a stale read just keeps a record one window longer.
-    std::atomic<std::uint64_t> drained{0};
-
-    OutboxRing() = default;
-    OutboxRing(const OutboxRing&) = delete;
-    OutboxRing& operator=(const OutboxRing&) = delete;
-    ~OutboxRing() {
-      auto free_chain = [](Chunk* c) {
-        while (c != nullptr) {
-          Chunk* n = c->next.load(std::memory_order_relaxed);
-          delete c;
-          c = n;
-        }
-      };
-      free_chain(head_chunk != nullptr ? head_chunk
-                                       : first.load(std::memory_order_relaxed));
-      free_chain(free_chunks.load(std::memory_order_relaxed));
-    }
-
-    Chunk* alloc_chunk() {
-      Chunk* c = free_chunks.load(std::memory_order_acquire);
-      while (c != nullptr &&
-             !free_chunks.compare_exchange_weak(
-                 c, c->next.load(std::memory_order_relaxed),
-                 std::memory_order_acquire, std::memory_order_acquire)) {
-      }
-      if (c != nullptr) {
-        c->next.store(nullptr, std::memory_order_relaxed);
-        return c;
-      }
-      return new Chunk;
-    }
-
-    void recycle_chunk(Chunk* c) {
-      Chunk* h = free_chunks.load(std::memory_order_relaxed);
-      do {
-        c->next.store(h, std::memory_order_relaxed);
-      } while (!free_chunks.compare_exchange_weak(
-          h, c, std::memory_order_release, std::memory_order_relaxed));
-    }
-
-    void push(Event ev) {
-      const auto off = static_cast<std::size_t>(appended % kChunkEvents);
-      if (off == 0) {
-        Chunk* c = alloc_chunk();
-        // The plain next/first stores are published by the release-store of
-        // `committed` in commit(); the consumer never chases a chunk link
-        // beyond what a committed count it acquired covers.
-        if (tail_chunk == nullptr) {
-          first.store(c, std::memory_order_relaxed);
-        } else {
-          tail_chunk->next.store(c, std::memory_order_relaxed);
-        }
-        tail_chunk = c;
-      }
-      staged_min_us = std::min(staged_min_us, ev.at.count_micros());
-      tail_chunk->ev[off] = std::move(ev);
-      ++appended;
-    }
-
-    [[nodiscard]] bool has_staged() const { return appended != committed_local; }
-
-    /// Bulk commit of the window's staged batch.  Compacts records whose
-    /// events the consumer has already drained (upto <= drained), keeping
-    /// the commit log O(windows the consumer sat out quiet), not O(run
-    /// length).  A concurrent drain only makes the compaction conservative.
-    void commit() {
-      if (appended == committed_local) return;
-      const std::uint64_t d = drained.load(std::memory_order_relaxed);
-      if (!commits.empty() && commits.front().upto <= d) {
-        std::size_t k = 0;
-        while (k < commits.size() && commits[k].upto <= d) ++k;
-        commits.erase(commits.begin(),
-                      commits.begin() + static_cast<std::ptrdiff_t>(k));
-      }
-      commits.push_back({appended, staged_min_us});
-      staged_min_us = kNeverUs;
-      committed_local = appended;
-      committed.store(appended, std::memory_order_release);
-    }
-
-    /// Earliest timestamp across committed-but-undrained events.  Exact at
-    /// barrier quiescence: the consumer always drains to a commit boundary,
-    /// so `upto > drained` identifies exactly the unconsumed records.
-    [[nodiscard]] std::int64_t undrained_min_us() const {
-      const std::uint64_t d = drained.load(std::memory_order_relaxed);
-      std::int64_t m = kNeverUs;
-      for (const Commit& c : commits) {
-        if (c.upto > d) m = std::min(m, c.min_at_us);
-      }
-      return m;
-    }
-
-    /// Consumer side: moves every committed event into `heap` (one
-    /// push_bulk per contiguous chunk run) and frees exhausted chunks.
-    void drain_into(QuadHeap<Event, EventBefore>& heap) {
-      const std::uint64_t n = committed.load(std::memory_order_acquire);
-      std::uint64_t got = drained.load(std::memory_order_relaxed);
-      if (got == n) return;
-      while (got < n) {
-        if (head_chunk == nullptr) {
-          head_chunk = first.load(std::memory_order_relaxed);
-          head_off = 0;
-        }
-        if (head_off == kChunkEvents) {
-          Chunk* next = head_chunk->next.load(std::memory_order_relaxed);
-          recycle_chunk(head_chunk);
-          head_chunk = next;
-          head_off = 0;
-        }
-        const auto run = static_cast<std::size_t>(std::min<std::uint64_t>(
-            n - got, kChunkEvents - head_off));
-        Event* base = head_chunk->ev.data() + head_off;
-        heap.push_bulk(base, base + run);
-        head_off += run;
-        got += run;
-      }
-      drained.store(got, std::memory_order_relaxed);
-    }
-
-    /// Only meaningful outside a run (both sides quiescent).
-    [[nodiscard]] bool empty_quiescent() const {
-      return committed.load(std::memory_order_relaxed) ==
-             drained.load(std::memory_order_relaxed);
-    }
+  /// Cross-shard events one shard sent to one destination during one
+  /// window, plus the earliest `at` among them.  Written only by the worker
+  /// running the source shard, read only by the advance and by the worker
+  /// draining the destination; the window barrier orders the two, so no
+  /// field is atomic.  Line-aligned because workers draining neighbouring
+  /// destinations clear neighbouring mailboxes at the same time.
+  struct alignas(64) Mailbox {
+    std::vector<Event> events;
+    std::int64_t min_at_us = kNeverUs;
   };
 
   /// Timer identity for O(1) cancellation without tombstones: a TimerId
@@ -603,7 +443,9 @@ class Network {
   /// Everything one worker thread touches while executing its shard: event
   /// heap, timer table, sequence counter, clock, RNG, wire scratch, raw
   /// stats, a private metrics registry, trace/span buffers keyed for the
-  /// deterministic merge, and one SPSC outbox ring per destination shard.
+  /// deterministic merge, and two mailboxes per destination shard (one per
+  /// window parity: the window being run writes one while its start drains
+  /// the other).
   /// A single-shard Network (the default) runs entirely on shards_[0] with
   /// no buffering — the classic sequential engine.
   ///
@@ -628,8 +470,7 @@ class Network {
     ByteWriter trace_bytes;  // arena behind trace_buf's records
     std::vector<SpanTracker::Op> span_ops;
     BtraceShardBuffer capture;  // packed binary record ring (btrace.hpp)
-    std::unique_ptr<OutboxRing[]> outbox;  // index = destination shard
-    std::vector<std::uint32_t> outbox_touched;  // dests staged this window
+    std::array<std::vector<Mailbox>, 2> mail;  // [window parity][dest shard]
     // send_each() scratch, index = destination shard: members counted and
     // the record being filled; plus the shards touched, in first-member
     // order.  Empty again between calls.
@@ -690,8 +531,8 @@ class Network {
   /// (install_faults calls this in schedule order).
   void push_fault_event(SimTime at, std::uint64_t cookie, NodeId target);
   /// Routes a ready Event to its destination shard: the origin's own heap,
-  /// the origin's outbox (mid-window cross-shard send), or the destination
-  /// heap directly (single-threaded stimulus between runs).
+  /// the origin's mailbox for this window (mid-window cross-shard send), or
+  /// the destination heap directly (single-threaded stimulus between runs).
   void route_event(Shard& origin, bool buffered, Event ev);
   /// Buffers a trace record packed into sh.trace_bytes under the next
   /// DispatchKey of the current dispatch (sharded run).
@@ -710,12 +551,8 @@ class Network {
   std::size_t run_windowed(SimTime limit);
   /// Executes every event with at < t_end on `sh` (worker context).
   void process_window(Shard& sh, SimTime t_end);
-  /// Moves committed inbound ring events into sh's heap (window start);
-  /// recomputes sh.next_at.
-  void drain_inboxes(Shard& sh);
-  /// Release-publishes this window's staged outbox events (window end),
-  /// compacting commit records already drained by the consumer.
-  static void commit_outboxes(Shard& sh);
+  /// Moves every shard's `parity` mail for sh into sh's heap.
+  void drain_mail(Shard& sh, unsigned parity);
   /// Merges per-shard trace/span/metrics buffers into the global
   /// recorder/tracker/registry in DispatchKey order.
   void merge_shard_buffers();
@@ -755,6 +592,7 @@ class Network {
   bool seam_cache_built_ = false;
   std::uint64_t seam_links_scanned_ = 0;
   unsigned workers_ = 1;
+  unsigned mail_parity_ = 0;  // mailbox set this window's sends go to
   bool shard_stats_ = false;
   std::uint64_t seed_;
 

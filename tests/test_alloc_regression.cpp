@@ -3,7 +3,8 @@
 // The tentpole claim is that sharded dispatch is allocation-free once warm:
 // message objects and shared_ptr control blocks come from the per-thread
 // message pool, events recycle inside each shard's heap storage, and
-// cross-shard hand-off reuses outbox/inbox capacity.  Two layers of pinning:
+// cross-shard hand-off reuses the capacity of the per-window mailboxes.
+// Two layers of pinning:
 //
 //  * a global operator-new interposer counts heap allocations during a
 //    warmed-up 2-shard ping-pong — the count per 10k delivered events must
@@ -63,16 +64,28 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+// The deletes stay out of line: inlined into a caller that used `new`,
+// their std::free trips GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -103,7 +116,7 @@ TEST(AllocRegression, ShardedPingPongSteadyStateIsAllocationFree) {
   net.set_shards({{a.id()}, {b.id()}});
   net.set_workers(2);
 
-  // Warm-up: grows the shard heaps, outboxes, pool chunks and worker
+  // Warm-up: grows the shard heaps, mailboxes, pool chunks and worker
   // threads to steady-state capacity.
   a.remaining = b.remaining = 2000;
   net.send(a.id(), b.id(), pool_message<UmPagingRequest>());

@@ -3,9 +3,9 @@
 // re-executed with the network partitioned along its topology seams and
 // driven by 1, 2, 4 and 8 workers, and the canonical trace is compared
 // byte-for-byte against the SAME goldens the sequential engine is pinned
-// to.  A race, a mis-ordered mailbox commit, a window that admits an event
-// it should not, or a shard that sat out a window it had work in all show
-// up as a golden diff here.
+// to.  A race, mail drained in the wrong window, a window that admits an
+// event it should not, or a shard that sat out a window it had work in all
+// show up as a golden diff here.
 //
 // This test never regenerates goldens — test_golden_trace owns them.
 #include <gtest/gtest.h>
@@ -546,43 +546,120 @@ TEST(ShardedEngine, ShardStatTimersFitInWorkerWallTime) {
   }
 }
 
+// Two cross-shard ping-pong pairs, p0<->p1 and p2<->p3, over four
+// single-node shards; with `fail`, p1 throws on its 51st delivery.
+struct RelayPairs {
+  std::unique_ptr<Network> net;
+  std::vector<Relay*> r;
+};
+
+RelayPairs make_relay_pairs(unsigned workers, bool fail) {
+  RelayPairs p{std::make_unique<Network>(1), {}};
+  std::vector<std::vector<NodeId>> groups;
+  for (int i = 0; i < 4; ++i) {
+    p.r.push_back(&p.net->add<Relay>("p" + std::to_string(i)));
+    p.r.back()->remaining = 100;
+    groups.push_back({p.r.back()->id()});
+  }
+  for (int i = 0; i < 4; i += 2) {
+    p.net->connect(*p.r[i], *p.r[i + 1], LinkProfile{});
+    p.r[i]->peer = p.r[i + 1]->id();
+    p.r[i + 1]->peer = p.r[i]->id();
+  }
+  if (fail) p.r[1]->fail_at = 50;  // shard 1, halfway through the run
+  p.net->set_shards(groups);
+  p.net->set_workers(workers);
+  p.net->send(p.r[0]->id(), p.r[1]->id(), std::make_shared<UmPagingRequest>());
+  p.net->send(p.r[2]->id(), p.r[3]->id(), std::make_shared<UmPagingRequest>());
+  return p;
+}
+
 // A node that throws mid-run on a worker thread must not wedge the window
 // protocol: its worker keeps arriving at the gate, the next advance stops
 // everyone, and run_until_idle rethrows the node's exception.  The engine
 // stays usable: a fresh network runs to completion afterwards.
 TEST(ShardedEngine, HandlerThrowMidRunIsRethrown) {
   register_all_messages();
-  // Two cross-shard ping-pong pairs over four single-node shards.
-  auto run = [](unsigned workers, bool fail) {
-    Network net(1);
-    std::vector<Relay*> r;
-    std::vector<std::vector<NodeId>> groups;
-    for (int i = 0; i < 4; ++i) {
-      r.push_back(&net.add<Relay>("p" + std::to_string(i)));
-      r.back()->remaining = 100;
-      groups.push_back({r.back()->id()});
-    }
-    for (int i = 0; i < 4; i += 2) {
-      net.connect(*r[i], *r[i + 1], LinkProfile{});
-      r[i]->peer = r[i + 1]->id();
-      r[i + 1]->peer = r[i]->id();
-    }
-    if (fail) r[1]->fail_at = 50;  // shard 1, halfway through the run
-    net.set_shards(groups);
-    net.set_workers(workers);
-    net.send(r[0]->id(), r[1]->id(), std::make_shared<UmPagingRequest>());
-    net.send(r[2]->id(), r[3]->id(), std::make_shared<UmPagingRequest>());
-    net.run_until_idle();
-    return net.stats().messages_delivered;
-  };
   for (unsigned w : {1u, 2u, 4u}) {
     try {
-      run(w, true);
+      make_relay_pairs(w, true).net->run_until_idle();
       ADD_FAILURE() << "no exception at " << w << " workers";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "relay failure in p1") << w << " workers";
     }
-    EXPECT_EQ(run(w, false), 402u) << w << " workers";
+    RelayPairs p = make_relay_pairs(w, false);
+    p.net->run_until_idle();
+    EXPECT_EQ(p.net->stats().messages_delivered, 402u) << w << " workers";
+  }
+}
+
+// The throw ends the run with the message p2<->p3 sent in the last window
+// still staged for the next one.  The run's end must hand it to its
+// destination's heap: the network is not idle, and resuming runs the
+// surviving pair to the end, identically at any worker count.
+TEST(ShardedEngine, StagedMailSurvivesAThrowingRun) {
+  register_all_messages();
+  struct Resumed {
+    std::size_t processed;
+    NetworkStats stats;
+    std::string trace;
+  };
+  std::vector<Resumed> runs;
+  for (unsigned w : {1u, 2u, 4u}) {
+    RelayPairs p = make_relay_pairs(w, true);
+    EXPECT_THROW(p.net->run_until_idle(), std::runtime_error);
+    EXPECT_FALSE(p.net->idle()) << w << " workers";
+    p.r[1]->fail_at = -1;
+    const std::size_t processed = p.net->run_until_idle();
+    EXPECT_TRUE(p.net->idle()) << w << " workers";
+    runs.push_back({processed, p.net->stats(), canonical(p.net->trace())});
+    // p0<->p1 stopped at the delivery that threw (101 in all); p2<->p3
+    // made all 201 of its deliveries.
+    EXPECT_EQ(runs.back().stats.messages_delivered, 302u) << w << " workers";
+  }
+  for (const Resumed& r : runs) {
+    EXPECT_EQ(r.processed, runs[0].processed);
+    EXPECT_EQ(r.stats.messages_sent, runs[0].stats.messages_sent);
+    EXPECT_EQ(r.stats.messages_delivered, runs[0].stats.messages_delivered);
+    EXPECT_EQ(r.stats.messages_dropped, runs[0].stats.messages_dropped);
+    EXPECT_EQ(r.stats.bytes_on_wire, runs[0].stats.bytes_on_wire);
+    EXPECT_EQ(r.stats.timers_fired, runs[0].stats.timers_fired);
+    EXPECT_EQ(r.trace, runs[0].trace);
+  }
+}
+
+// A quiet shard must take in its mail at every window start, not only when
+// it runs: the advance reads only the window that just ended.  p0<->p1 is a
+// 4 ms link whose mid-window send lands windows later, while p2<->p3 keeps
+// the windows 1 ms wide and stops before p0's event is due.  Mail that sat
+// undrained would be missed by the advance and end the run early.
+TEST(ShardedEngine, QuietShardTakesInMailEveryWindow) {
+  register_all_messages();
+  for (std::int64_t fast : {2, 3, 4}) {
+    for (unsigned w : {1u, 2u}) {
+      Network net(1);
+      std::vector<Relay*> r;
+      std::vector<std::vector<NodeId>> groups;
+      for (int i = 0; i < 4; ++i) {
+        r.push_back(&net.add<Relay>("p" + std::to_string(i)));
+        r.back()->remaining = i < 2 ? 1 : fast;
+        groups.push_back({r.back()->id()});
+      }
+      LinkProfile slow;
+      slow.latency = SimDuration::millis(4);
+      net.connect(*r[0], *r[1], slow);
+      net.connect(*r[2], *r[3], LinkProfile{});
+      for (int i = 0; i < 4; ++i) r[i]->peer = r[i ^ 1]->id();
+      net.set_shards(groups);
+      net.set_workers(w);
+      net.send(r[0]->id(), r[1]->id(), std::make_shared<UmPagingRequest>());
+      net.send(r[2]->id(), r[3]->id(), std::make_shared<UmPagingRequest>());
+      net.run_until_idle();
+      EXPECT_TRUE(net.idle()) << fast << " fast relays, " << w << " workers";
+      EXPECT_EQ(net.stats().messages_delivered,
+                static_cast<std::uint64_t>(3 + 2 * fast + 1))
+          << fast << " fast relays, " << w << " workers";
+    }
   }
 }
 
@@ -983,7 +1060,7 @@ TEST(ShardedEngine, FanOutHandlerThrowLeavesUndeliveredMembersQueued) {
 
 // A Network destroyed with fan-outs still queued frees their records and,
 // with them, the shared message: entries queued by stimulus and never run,
-// entries committed to an outbox ring but not yet drained (the deadline
+// entries handed to another shard but not yet delivered (the deadline
 // fell between send and delivery), and an entry part-way through its
 // members when a handler threw.  Link serialization is off so the fan-out
 // shares the hub's own instance, which the test watches.  (The ASan job
