@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "gsm/msc.hpp"
 #include "sim/export.hpp"
 
 namespace vgprs {
@@ -327,6 +328,33 @@ void BM_NestedTunnelEncapsulation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NestedTunnelEncapsulation);
+
+// Handler dispatch: ns per MscBase::on_message for the type that came first
+// in the old dynamic_cast chain (A_Handover_Required, arg 0) and for the one
+// that came last (A_Clear_Complete, arg 1).  The switch has no contexts, so
+// both handlers stop at the context lookup and the two rows differ only in
+// how the handler is found: by the chain's length before table dispatch,
+// within noise after it.
+void BM_NodeDispatch(benchmark::State& state) {
+  register_all_messages();
+  Network net;
+  net.trace().set_mode(TraceMode::kDisabled);
+  auto& msc = net.add<GsmMsc>("MSC", GsmMsc::MscConfig{});
+  const Imsi imsi(466920000000001ULL, 15);
+  MessagePtr msg;
+  if (state.range(0) == 0) {
+    msg = make_message<AHandoverRequired>(
+        [&](AHandoverRequired& m) { m.imsi = imsi; });
+  } else {
+    msg = make_message<AClearComplete>(
+        [&](AClearComplete& m) { m.imsi = imsi; });
+  }
+  const Envelope env{net.now(), NodeId{}, msc.id(), msg};
+  for (auto _ : state) msc.on_message(env);
+  state.SetLabel(std::string(msg->name()));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NodeDispatch)->Arg(0)->Arg(1);
 
 // Ablation for DESIGN.md decision #1 (wire-serialize every link): how much
 // host CPU the byte-level codecs cost relative to pointer-passing.

@@ -12,8 +12,11 @@
 #include <tuple>
 
 #include "analysis/source_scan.hpp"
+#include "gprs/data_ms.hpp"
 #include "sim/proto.hpp"
+#include "tr23821/tr_ms.hpp"
 #include "vgprs/scenario.hpp"
+#include "vgprs/vmsc.hpp"
 
 namespace vgprs::analysis {
 namespace {
@@ -140,7 +143,223 @@ constexpr std::string_view kShardingAllowed[] = {"id", "name", "valid"};
 
 constexpr std::string_view kShardingExempt = "lint:allow-cross-node";
 
+// --- rule: message-downcast --------------------------------------------------
+
+/// (path relative to the source root, text) of each source file.
+using SourceFiles = std::vector<std::pair<std::string, std::string>>;
+
+/// Every .cpp/.hpp under root/subdir, in path order; an unreadable file is
+/// reported under `rule`.
+SourceFiles read_sources(const std::filesystem::path& root,
+                         const std::string& subdir, const std::string& rule,
+                         Report& report) {
+  namespace fs = std::filesystem;
+  SourceFiles out;
+  for (const auto& entry : fs::recursive_directory_iterator(root / subdir)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".cpp" && ext != ".hpp") continue;
+    std::ifstream in(entry.path());
+    if (!in.good()) {
+      report.fail(rule, "cannot read " + entry.path().string());
+      continue;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    out.emplace_back(fs::relative(entry.path(), root).generic_string(),
+                     text.str());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+std::size_t skip_space(std::string_view text, std::size_t i) {
+  while (i < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[i])) != 0) {
+    ++i;
+  }
+  return i;
+}
+
 }  // namespace
+
+void collect_message_aliases(const MessageRegistry& reg,
+                             std::string_view text,
+                             std::map<std::string, std::string>& out) {
+  constexpr std::string_view kUsing = "using ";
+  constexpr std::string_view kProto = "ProtoMessage<";
+  for (std::size_t pos = text.find(kUsing); pos != std::string_view::npos;
+       pos = text.find(kUsing, pos + 1)) {
+    std::size_t i = pos + kUsing.size();
+    const std::size_t name_begin = i;
+    while (i < text.size() && ident_char(text[i])) ++i;
+    const std::string_view alias = text.substr(name_begin, i - name_begin);
+    i = skip_space(text, i);
+    if (alias.empty() || i >= text.size() || text[i] != '=') continue;
+    i = skip_space(text, i + 1);
+    if (text.substr(i, kProto.size()) != kProto) continue;
+    const std::size_t close = text.find('>', i);
+    const std::size_t hex = text.find("0x", i);
+    const std::size_t quote = text.find('"', i);
+    if (close == std::string_view::npos || hex > close || quote > close) {
+      continue;
+    }
+    const std::size_t quote_end = text.find('"', quote + 1);
+    const std::string_view wire_name =
+        text.substr(quote + 1, quote_end - quote - 1);
+    const auto type = static_cast<std::uint16_t>(
+        std::stoul(std::string(text.substr(hex, 6)), nullptr, 16));
+    if (reg.known(type) && reg.name_of(type) == wire_name) {
+      out[std::string(alias)] = std::string(wire_name);
+    }
+  }
+}
+
+void check_message_downcast_text(
+    const std::string& rel_path, std::string_view text,
+    const std::map<std::string, std::string>& messages, Report& report) {
+  constexpr std::string_view kCast = "dynamic_cast<";
+  for (std::size_t pos = text.find(kCast); pos != std::string_view::npos;
+       pos = text.find(kCast, pos + 1)) {
+    const std::size_t begin = pos + kCast.size();
+    const std::size_t end = text.find('>', begin);
+    if (end == std::string_view::npos) break;
+    // The target type without cv, pointer/reference or namespace noise.
+    std::string target;
+    for (char c : text.substr(begin, end - begin)) {
+      if (ident_char(c) || c == ':') target += c;
+      if (c == ' ' && target == "const") target.clear();
+    }
+    if (auto colon = target.rfind("::"); colon != std::string::npos) {
+      target = target.substr(colon + 2);
+    }
+    auto it = messages.find(target);
+    if (it == messages.end()) continue;
+    report.fail_at("message-downcast", rel_path, line_of(text, pos),
+                   "dynamic_cast to message type " + target + " (" +
+                       it->second +
+                       ") — dispatch through a HandlerTable, or "
+                       "message_cast<> for a single expected type");
+  }
+}
+
+void check_message_downcast(const std::string& source_root,
+                            const MessageRegistry& reg, Report& report) {
+  SourceFiles sources;
+  if (std::filesystem::is_directory(source_root)) {
+    sources = read_sources(source_root, "", "message-downcast", report);
+  }
+  if (sources.empty()) {
+    report.fail("message-downcast",
+                "no sources found under " + source_root +
+                    " — wrong source root?");
+    return;
+  }
+  std::map<std::string, std::string> messages;
+  for (const auto& [path, text] : sources) {
+    collect_message_aliases(reg, text, messages);
+  }
+  if (messages.empty()) {
+    report.fail("message-downcast",
+                "no registered ProtoMessage declarations found under " +
+                    source_root);
+  }
+  for (const auto& [path, text] : sources) {
+    check_message_downcast_text(path, text, messages, report);
+  }
+}
+
+// --- rule: handler-fsm -----------------------------------------------------
+
+std::vector<HandlerBinding> handler_bindings() {
+  auto both = [](const auto& node_table, const auto& tunnel_table) {
+    std::vector<std::uint16_t> out = node_table.wire_types();
+    const auto& inner = tunnel_table.wire_types();
+    out.insert(out.end(), inner.begin(), inner.end());
+    return out;
+  };
+  const std::vector<std::uint16_t> msc = MscBase::handler_table().wire_types();
+  return {
+      {"msc-call", "MscBase", msc},
+      {"handoff-anchor", "MscBase", msc},
+      {"handoff-target", "MscBase", msc},
+      {"vmsc-endpoint", "Vmsc",
+       both(Vmsc::handler_table(), Vmsc::tunnel_table()), "MscBase"},
+      {"pdp-context", "GprsDataMs", GprsDataMs::handler_table().wire_types()},
+      {"tr-ms", "TrMobileStation",
+       both(TrMobileStation::handler_table(),
+            TrMobileStation::tunnel_table())},
+  };
+}
+
+void check_handler_tables(const MessageRegistry& reg,
+                          const std::vector<FsmTable>& tables,
+                          const std::vector<HandlerBinding>& bindings,
+                          Report& report) {
+  std::set<std::string_view> wire_names;
+  for (std::uint16_t type : reg.types()) wire_names.insert(reg.name_of(type));
+
+  // node -> handled wire names no bound table declares as an event.
+  std::map<std::string_view, std::set<std::string_view>> undeclared;
+  std::map<std::string_view, std::set<std::string_view>> declared;
+  for (const HandlerBinding& binding : bindings) {
+    const auto fsm = std::find_if(
+        tables.begin(), tables.end(),
+        [&](const FsmTable& t) { return t.name == binding.fsm; });
+    if (fsm == tables.end()) {
+      report.fail("handler-fsm", "binding for " + std::string(binding.node) +
+                                     " names unknown FSM table '" +
+                                     std::string(binding.fsm) + "'");
+      continue;
+    }
+    std::set<std::string_view> inherited;
+    for (const HandlerBinding& other : bindings) {
+      if (other.node != binding.base) continue;
+      for (std::uint16_t type : other.handled) {
+        inherited.insert(reg.name_of(type));
+      }
+    }
+    std::set<std::string_view> handled;
+    for (std::uint16_t type : binding.handled) {
+      handled.insert(reg.name_of(type));
+      // Entries inherited from a bound base class are noted under it.
+      if (!inherited.contains(reg.name_of(type))) {
+        undeclared[binding.node].insert(reg.name_of(type));
+      }
+    }
+    std::set<std::string_view> missing;
+    for (const FsmTransition& tr : fsm->transitions) {
+      std::string_view event = tr.event.substr(0, tr.event.find('('));
+      if (!wire_names.contains(event)) continue;  // internal event
+      declared[binding.node].insert(event);
+      if (!handled.contains(event) && missing.insert(event).second) {
+        report.fail("handler-fsm",
+                    "FSM '" + std::string(binding.fsm) + "' declares '" +
+                        std::string(event) + "', but " +
+                        std::string(binding.node) +
+                        "'s handler table has no entry for it");
+      }
+    }
+  }
+  // The other direction is informational: a node table also carries
+  // protocols no FSM models (detach, voice relay, ...).
+  for (auto& [node, names] : undeclared) {
+    std::string list;
+    for (std::string_view name : names) {
+      if (declared[node].contains(name)) continue;
+      list += (list.empty() ? "" : ", ") + std::string(name);
+    }
+    if (!list.empty()) {
+      std::printf("note [handler-fsm]: %s handles wire types no bound FSM "
+                  "declares: %s\n",
+                  std::string(node).c_str(), list.c_str());
+    }
+  }
+}
 
 void check_registry(const MessageRegistry& reg, Report& report) {
   for (const auto& c : reg.collisions()) {
@@ -569,30 +788,17 @@ void check_sharding_text(const std::string& rel_path, std::string_view text,
 }
 
 void check_sharding(const std::string& source_root, Report& report) {
-  namespace fs = std::filesystem;
-  const fs::path root = source_root;
+  const std::filesystem::path root = source_root;
   std::size_t scanned = 0;
   for (const char* dir : kShardingDirs) {
-    const fs::path subtree = root / dir;
-    if (!fs::is_directory(subtree)) {
+    if (!std::filesystem::is_directory(root / dir)) {
       report.fail("sharding", "protocol directory '" + std::string(dir) +
                                   "' missing under " + root.string());
       continue;
     }
-    for (const auto& entry : fs::recursive_directory_iterator(subtree)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string ext = entry.path().extension().string();
-      if (ext != ".cpp" && ext != ".hpp") continue;
-      std::ifstream in(entry.path());
-      if (!in.good()) {
-        report.fail("sharding", "cannot read " + entry.path().string());
-        continue;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      check_sharding_text(
-          fs::relative(entry.path(), root).generic_string(), text.str(),
-          report);
+    for (const auto& [path, text] :
+         read_sources(root, dir, "sharding", report)) {
+      check_sharding_text(path, text, report);
       ++scanned;
     }
   }
@@ -721,6 +927,43 @@ std::vector<RuleFamily> lint_rule_families(const std::string& source_root) {
        // and the chain pattern, provision() trips the chain pattern; the
        // name() chain and the exempted line must stay clean.
        3, 3});
+  families.push_back(
+      {"message-downcast",
+       [source_root, &reg](Report& r) {
+         check_message_downcast(source_root, reg, r);
+       },
+       [&reg](Report& r) {
+         // The cast spelling is split so this file does not trip the scan.
+         const std::string seeded =
+             "void Bad::on_message(const Envelope& env) {\n"
+             "  if (const auto* s = dynamic_"
+             "cast<const ASetup*>(env.msg.get())) {}\n"
+             "  auto* bts = dynamic_"
+             "cast<Bts*>(net().node(peer));\n"
+             "}\n";
+         std::map<std::string, std::string> messages;
+         collect_message_aliases(
+             reg,
+             "using ASetup = ProtoMessage<CallSetupInfo, 0x0309, \"A_Setup\">;",
+             messages);
+         check_message_downcast_text("seeded.cpp", seeded, messages, r);
+       },
+       // Exactly 1: the cast to a node class is not a message downcast.
+       1, 1});
+  families.push_back(
+      {"handler-fsm",
+       [&reg](Report& r) {
+         check_handler_tables(reg, conformance_fsm_tables(),
+                              handler_bindings(), r);
+       },
+       [&reg](Report& r) {
+         // MscBase's table without its A_Setup entry.
+         std::vector<HandlerBinding> bindings = handler_bindings();
+         std::erase(bindings[0].handled,
+                    ASetup::kWireType);
+         check_handler_tables(reg, conformance_fsm_tables(), bindings, r);
+       },
+       1, 1});
   return families;
 }
 

@@ -103,7 +103,7 @@ VerifyModel build_model() {
   // and flags any row that stops matching (so the list cannot rot).
 
   model.exemptions = {
-      // msc-call: handle_a_message / handle_map_message drop answers whose
+      // msc-call: the A-interface and MAP handlers drop answers whose
       // procedure step has moved on (late, duplicate, or post-abort
       // deliveries under reorder).
       {"unhandled", "msc-call", "*", "MAP_Send_Auth_Info_ack",
@@ -140,11 +140,11 @@ VerifyModel build_model() {
       {"unhandled", "msc-call", "*", "A_Connect",
        "dropped unless step == kAwaitAnswer"},
 
-      // vmsc-endpoint: handle_gprs / handle_tunneled gate every answer on
+      // vmsc-endpoint: the GPRS and tunnel handlers gate every answer on
       // the vGPRS phase; anything else is a duplicate or arrived after a
       // give-up reset the phase.
       {"unhandled", "vmsc-endpoint", "*", "GPRS_Attach_Accept",
-       "handle_gprs ignores attach answers unless phase == kAttaching"},
+       "on_gprs_attach_accept ignores answers unless phase == kAttaching"},
       {"unhandled", "vmsc-endpoint", "none", "GPRS_Attach_Reject",
        "no vGPRS state to tear down; dropped"},
       {"unhandled", "vmsc-endpoint", "*", "Activate_PDP_Context_Accept",

@@ -46,75 +46,78 @@ void GprsDataMs::send_ping() {
 
 void GprsDataMs::on_timer(TimerId, std::uint64_t) { send_ping(); }
 
-void GprsDataMs::on_message(const Envelope& env) {
-  const Message& msg = *env.msg;
-
-  if (dynamic_cast<const GprsAttachAccept*>(&msg) != nullptr) {
-    if (state_ != State::kAttaching) return;
-    state_ = State::kActivating;
+const GprsDataMs::Handlers& GprsDataMs::handler_table() {
+  static const Handlers table = Handlers{}
+  .on([](GprsDataMs& self, const GprsAttachAccept&) {
+    if (self.state_ != State::kAttaching) return;
+    self.state_ = State::kActivating;
     auto req = pool_message<ActivatePdpContextRequest>();
-    req->imsi = config_.imsi;
+    req->imsi = self.config_.imsi;
     req->nsapi = Nsapi(5);
-    req->qos = config_.qos;
+    req->qos = self.config_.qos;
     req->apn = "internet";
-    send(sgsn(), std::move(req));
-    return;
-  }
-  if (dynamic_cast<const GprsAttachReject*>(&msg) != nullptr) {
-    state_ = State::kDetached;
-    return;
-  }
-  if (const auto* acc = dynamic_cast<const ActivatePdpContextAccept*>(&msg)) {
-    if (state_ != State::kActivating) return;
-    address_ = acc->address;
-    state_ = State::kOnline;
-    if (on_online) on_online();
-    if (pings_remaining_ > 0) send_ping();
-    return;
-  }
-  if (dynamic_cast<const ActivatePdpContextReject*>(&msg) != nullptr) {
+    self.send(self.sgsn(), std::move(req));
+  })
+  .on([](GprsDataMs& self, const GprsAttachReject&) {
+    self.state_ = State::kDetached;
+  })
+  .on([](GprsDataMs& self, const ActivatePdpContextAccept& acc) {
+    if (self.state_ != State::kActivating) return;
+    self.address_ = acc.address;
+    self.state_ = State::kOnline;
+    if (self.on_online) self.on_online();
+    if (self.pings_remaining_ > 0) self.send_ping();
+  })
+  .on([](GprsDataMs& self, const ActivatePdpContextReject&) {
     // Without this the MS wedged in kActivating forever: attached but
     // never online, and a later power_on() refused to restart the attach.
-    if (state_ == State::kActivating) state_ = State::kDetached;
-    return;
-  }
-  if (dynamic_cast<const GprsDetachRequest*>(&msg) != nullptr) {
+    if (self.state_ == State::kActivating) self.state_ = State::kDetached;
+  })
+  .on([](GprsDataMs& self, const GprsDetachRequest&) {
     // Network-initiated detach (e.g. SGSN restart recovery).
-    if (state_ == State::kOnline) state_ = State::kDetached;
-    return;
-  }
-  if (const auto* frame = dynamic_cast<const GbUnitData*>(&msg)) {
-    auto decoded = MessageRegistry::instance().decode(frame->payload);
+    if (self.state_ == State::kOnline) self.state_ = State::kDetached;
+  })
+  .on([](GprsDataMs& self, const GbUnitData& frame) {
+    auto decoded = MessageRegistry::instance().decode(frame.payload);
     if (!decoded.ok()) return;
-    const auto* dgram =
-        dynamic_cast<const IpDatagram*>(decoded.value().get());
+    const auto* dgram = message_cast<IpDatagram>(decoded.value().get());
     if (dgram == nullptr) return;
     auto inner = ip_payload(*dgram);
     if (!inner.ok()) return;
-    if (const auto* ping = dynamic_cast<const DataPing*>(inner.value().get());
+    if (const auto* ping = message_cast<DataPing>(inner.value().get());
         ping != nullptr && ping->response) {
-      ++echoes_;
-      rtt_.add(SimDuration::micros(now().count_micros() - ping->origin_us));
+      ++self.echoes_;
+      self.rtt_.add(SimDuration::micros(self.now().count_micros() -
+                                        ping->origin_us));
     }
-    return;
-  }
+  });
+  return table;
+}
 
-  VG_DEBUG("data-ms", name() << ": ignoring " << msg.name());
+void GprsDataMs::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
+  VG_DEBUG("data-ms", name() << ": ignoring " << env.msg->name());
+}
+
+const EchoServer::Handlers& EchoServer::handler_table() {
+  static const Handlers table = Handlers{}
+  .on([](EchoServer& self, const IpDatagram& dgram) {
+    auto inner = ip_payload(dgram);
+    if (!inner.ok()) return;
+    const auto* ping = message_cast<DataPing>(inner.value().get());
+    if (ping == nullptr || ping->response) return;
+    ++self.served_;
+    DataPing echo = *ping;
+    echo.response = true;
+    Node* router = self.net().node_by_name(self.router_name_);
+    if (router == nullptr) return;
+    self.send(router->id(), make_ip_datagram(self.ip_, dgram.src, echo));
+  });
+  return table;
 }
 
 void EchoServer::on_message(const Envelope& env) {
-  const auto* dgram = dynamic_cast<const IpDatagram*>(env.msg.get());
-  if (dgram == nullptr) return;
-  auto inner = ip_payload(*dgram);
-  if (!inner.ok()) return;
-  const auto* ping = dynamic_cast<const DataPing*>(inner.value().get());
-  if (ping == nullptr || ping->response) return;
-  ++served_;
-  DataPing echo = *ping;
-  echo.response = true;
-  Node* router = net().node_by_name(router_name_);
-  if (router == nullptr) return;
-  send(router->id(), make_ip_datagram(ip_, dgram->src, echo));
+  handler_table().dispatch(*this, *env.msg, env);
 }
 
 }  // namespace vgprs

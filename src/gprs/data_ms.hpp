@@ -68,6 +68,10 @@ class GprsDataMs final : public Node {
 
   std::function<void()> on_online;
 
+  using Handlers = NodeHandlers<GprsDataMs>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
   void on_timer(TimerId id, std::uint64_t cookie) override;
 
@@ -94,6 +98,10 @@ class EchoServer final : public Node {
 
   [[nodiscard]] IpAddress ip() const { return ip_; }
   [[nodiscard]] std::uint64_t requests_served() const { return served_; }
+
+  using Handlers = NodeHandlers<EchoServer>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
 
   void on_attached() override { net().register_ip(ip_, id()); }
   void on_message(const Envelope& env) override;

@@ -52,6 +52,10 @@ class Ggsn final : public Node {
   }
 
   void on_attached() override;
+  using Handlers = NodeHandlers<Ggsn>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
 
  private:

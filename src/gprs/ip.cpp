@@ -29,19 +29,23 @@ Result<std::unique_ptr<Message>> ip_payload(const IpDatagramInfo& dgram) {
   return MessageRegistry::instance().decode(dgram.payload);
 }
 
+const IpRouter::Handlers& IpRouter::handler_table() {
+  static const Handlers table = Handlers{}
+  .on([](IpRouter& self, const IpDatagram& dgram, const Envelope& env) {
+    NodeId owner = self.net().ip_owner(dgram.dst);
+    if (!owner.valid()) {
+      VG_WARN("ip", self.name() << ": no route to " << dgram.dst.to_string());
+      return;
+    }
+    if (owner == env.from) return;  // avoid reflecting
+    self.send(owner, MessagePtr(dgram.clone()));
+  });
+  return table;
+}
+
 void IpRouter::on_message(const Envelope& env) {
-  const auto* dgram = dynamic_cast<const IpDatagram*>(env.msg.get());
-  if (dgram == nullptr) {
-    VG_WARN("ip", name() << ": non-IP message " << env.msg->name());
-    return;
-  }
-  NodeId owner = net().ip_owner(dgram->dst);
-  if (!owner.valid()) {
-    VG_WARN("ip", name() << ": no route to " << dgram->dst.to_string());
-    return;
-  }
-  if (owner == env.from) return;  // avoid reflecting
-  send(owner, MessagePtr(env.msg->clone()));
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
+  VG_WARN("ip", name() << ": non-IP message " << env.msg->name());
 }
 
 void register_ip_messages() { register_message<IpDatagram>(); }

@@ -46,7 +46,14 @@ Result<std::unique_ptr<Message>> ip_payload(const IpDatagramInfo& dgram);
 class IpRouter final : public Node {
  public:
   explicit IpRouter(std::string name) : Node(std::move(name)) {}
+
+  using Handlers = NodeHandlers<IpRouter>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
+
+ private:
 };
 
 void register_ip_messages();

@@ -23,12 +23,10 @@ NodeId Sgsn::hlr() const {
   return n->id();
 }
 
-void Sgsn::on_message(const Envelope& env) {
-  const Message& msg = *env.msg;
-
-  // --- GPRS mobility management ---------------------------------------------
-  if (const auto* req = dynamic_cast<const GprsAttachRequest*>(&msg)) {
-    if (const Attachment* dup = attachments_.find(req->imsi);
+const Sgsn::Handlers& Sgsn::handler_table() {
+  static const Handlers table = Handlers{}
+  .on([](Sgsn& self, const GprsAttachRequest& req, const Envelope& env) {
+    if (const Attachment* dup = self.attachments_.find(req.imsi);
         dup != nullptr && dup->holder == env.from) {
       // Duplicate attach from the current holder (retransmission or a
       // duplicated message): already attached -> re-confirm with the same
@@ -36,72 +34,70 @@ void Sgsn::on_message(const Envelope& env) {
       // answers both copies.
       if (dup->attached) {
         auto acc = pool_message<GprsAttachAccept>();
-        acc->imsi = req->imsi;
+        acc->imsi = req.imsi;
         acc->ptmsi = dup->ptmsi;
-        send(env.from, std::move(acc));
+        self.send(env.from, std::move(acc));
       }
       return;
     }
-    Attachment& at = attachments_[req->imsi];
+    Attachment& at = self.attachments_[req.imsi];
     at.holder = env.from;
-    at.ptmsi = next_ptmsi_++;
+    at.ptmsi = self.next_ptmsi_++;
     at.attached = false;
     auto ul = pool_message<MapUpdateGprsLocation>();
-    ul->imsi = req->imsi;
-    ul->sgsn_name = name();
-    send(hlr(), std::move(ul));
-    retx_.arm(
-        retx_key(RetxKind::kMapGprsUl, req->imsi),
-        [this, imsi = req->imsi] {
-          const Attachment* a = attachments_.find(imsi);
+    ul->imsi = req.imsi;
+    ul->sgsn_name = self.name();
+    self.send(self.hlr(), std::move(ul));
+    self.retx_.arm(
+        retx_key(RetxKind::kMapGprsUl, req.imsi),
+        [&self, imsi = req.imsi] {
+          const Attachment* a = self.attachments_.find(imsi);
           if (a == nullptr || a->attached) return;
           auto again = pool_message<MapUpdateGprsLocation>();
           again->imsi = imsi;
-          again->sgsn_name = name();
-          send(hlr(), std::move(again));
+          again->sgsn_name = self.name();
+          self.send(self.hlr(), std::move(again));
         },
-        [this, imsi = req->imsi] {
-          const Attachment* a = attachments_.find(imsi);
+        [&self, imsi = req.imsi] {
+          const Attachment* a = self.attachments_.find(imsi);
           if (a == nullptr || a->attached) return;
           auto rej = pool_message<GprsAttachReject>();
           rej->imsi = imsi;
           rej->cause = 17;  // network failure: HLR unreachable
-          send(a->holder, std::move(rej));
-          attachments_.erase(imsi);
+          self.send(a->holder, std::move(rej));
+          self.attachments_.erase(imsi);
         });
-    return;
-  }
-  if (const auto* ack = dynamic_cast<const MapUpdateGprsLocationAck*>(&msg)) {
-    retx_.ack(retx_key(RetxKind::kMapGprsUl, ack->imsi));
-    Attachment* at = attachments_.find(ack->imsi);
+  })
+  .on([](Sgsn& self, const MapUpdateGprsLocationAck& ack) {
+    self.retx_.ack(retx_key(RetxKind::kMapGprsUl, ack.imsi));
+    Attachment* at = self.attachments_.find(ack.imsi);
     if (at == nullptr) return;
-    if (!ack->success) {
+    if (!ack.success) {
       auto rej = pool_message<GprsAttachReject>();
-      rej->imsi = ack->imsi;
-      rej->cause = ack->cause;
-      send(at->holder, std::move(rej));
-      attachments_.erase(ack->imsi);
+      rej->imsi = ack.imsi;
+      rej->cause = ack.cause;
+      self.send(at->holder, std::move(rej));
+      self.attachments_.erase(ack.imsi);
       return;
     }
     at->attached = true;
-    ++net().metrics().counter(name() + "/attaches_accepted");
-    net().metrics().gauge(name() + "/attached") =
-        static_cast<double>(attachments_.size());
+    ++self.net().metrics().counter(self.name() + "/attaches_accepted");
+    self.net().metrics().gauge(self.name() + "/attached") =
+        static_cast<double>(self.attachments_.size());
     auto acc = pool_message<GprsAttachAccept>();
-    acc->imsi = ack->imsi;
+    acc->imsi = ack.imsi;
     acc->ptmsi = at->ptmsi;
-    send(at->holder, std::move(acc));
-    return;
-  }
-  if (const auto* req = dynamic_cast<const GprsDetachRequest*>(&msg)) {
+    self.send(at->holder, std::move(acc));
+  })
+  .on([](Sgsn& self, const GprsDetachRequest& req, const Envelope& env) {
     // A detach is only honoured from the subscriber's *current* Gb-side
     // holder: after an inter-VMSC move the old VMSC's deferred detach must
     // not tear down the attachment the new VMSC just established.
-    const Attachment* at = attachments_.find(req->imsi);
+    const Attachment* at = self.attachments_.find(req.imsi);
     if (at != nullptr && at->holder != env.from) {
       auto acc = pool_message<GprsDetachAccept>();
-      acc->imsi = req->imsi;
-      send(env.from, std::move(acc));
+      acc->imsi = req.imsi;
+      self.send(env.from, std::move(acc));
       return;
     }
     // Tear down any remaining contexts at the GGSN — direct probes of the
@@ -110,49 +106,46 @@ void Sgsn::on_message(const Envelope& env) {
     // responses arrive, so the retransmission thunks carry everything
     // needed to re-emit the delete.
     for (std::uint8_t n : {std::uint8_t{5}, std::uint8_t{6}}) {
-      const PdpContext* ctx = contexts_.find(key(req->imsi, Nsapi(n)));
+      const PdpContext* ctx = self.contexts_.find(key(req.imsi, Nsapi(n)));
       if (ctx == nullptr || ctx->holder != env.from) continue;
       auto del = pool_message<GtpDeletePdpContextRequest>();
       del->imsi = ctx->imsi;
       del->nsapi = ctx->nsapi;
       del->teid = ctx->ggsn_teid;
-      send(ggsn(), std::move(del));
-      retx_.arm(
+      self.send(self.ggsn(), std::move(del));
+      self.retx_.arm(
           retx_key(RetxKind::kGtpDelete, ctx->imsi, ctx->nsapi),
-          [this, imsi = ctx->imsi, nsapi = ctx->nsapi,
+          [&self, imsi = ctx->imsi, nsapi = ctx->nsapi,
            teid = ctx->ggsn_teid] {
             auto again = pool_message<GtpDeletePdpContextRequest>();
             again->imsi = imsi;
             again->nsapi = nsapi;
             again->teid = teid;
-            send(ggsn(), std::move(again));
+            self.send(self.ggsn(), std::move(again));
           },
           // GGSN unreachable: its context leaks until it ages out there;
           // nothing left to unwind here.
           std::function<void()>{});
-      by_teid_.erase(ctx->sgsn_teid.value());
-      contexts_.erase(key(req->imsi, Nsapi(n)));
+      self.by_teid_.erase(ctx->sgsn_teid.value());
+      self.contexts_.erase(key(req.imsi, Nsapi(n)));
     }
-    attachments_.erase(req->imsi);
+    self.attachments_.erase(req.imsi);
     auto acc = pool_message<GprsDetachAccept>();
-    acc->imsi = req->imsi;
-    send(env.from, std::move(acc));
-    return;
-  }
-
-  // --- session management -----------------------------------------------------
-  if (const auto* req =
-          dynamic_cast<const ActivatePdpContextRequest*>(&msg)) {
-    const Attachment* at = attachments_.find(req->imsi);
+    acc->imsi = req.imsi;
+    self.send(env.from, std::move(acc));
+  })
+  .on([](Sgsn& self, const ActivatePdpContextRequest& req,
+         const Envelope& env) {
+    const Attachment* at = self.attachments_.find(req.imsi);
     if (at == nullptr || !at->attached) {
       auto rej = pool_message<ActivatePdpContextReject>();
-      rej->imsi = req->imsi;
-      rej->nsapi = req->nsapi;
+      rej->imsi = req.imsi;
+      rej->nsapi = req.nsapi;
       rej->cause = 7;  // GPRS services not allowed / not attached
-      send(env.from, std::move(rej));
+      self.send(env.from, std::move(rej));
       return;
     }
-    PdpContext& ctx = contexts_[key(req->imsi, req->nsapi)];
+    PdpContext& ctx = self.contexts_[key(req.imsi, req.nsapi)];
     if (ctx.sgsn_teid.valid()) {
       if (ctx.holder == env.from && !ctx.deleting) {
         // Duplicate activation from the current holder: an active context
@@ -160,101 +153,98 @@ void Sgsn::on_message(const Envelope& env) {
         // answered when the GTP exchange completes.
         if (ctx.active) {
           auto acc = pool_message<ActivatePdpContextAccept>();
-          acc->imsi = req->imsi;
-          acc->nsapi = req->nsapi;
+          acc->imsi = req.imsi;
+          acc->nsapi = req.nsapi;
           acc->address = ctx.address;
           acc->qos = ctx.qos;
-          send(env.from, std::move(acc));
+          self.send(env.from, std::move(acc));
         }
         return;
       }
       // Re-activation over an existing context (e.g. the subscriber moved
       // to a new VMSC): drop the stale tunnel endpoint mapping.
-      by_teid_.erase(ctx.sgsn_teid.value());
+      self.by_teid_.erase(ctx.sgsn_teid.value());
     }
-    ctx.imsi = req->imsi;
-    ctx.nsapi = req->nsapi;
-    ctx.qos = req->qos;
+    ctx.imsi = req.imsi;
+    ctx.nsapi = req.nsapi;
+    ctx.qos = req.qos;
     ctx.holder = env.from;
-    ctx.sgsn_teid = TunnelId(next_teid_++);
+    ctx.sgsn_teid = TunnelId(self.next_teid_++);
     ctx.active = false;
     ctx.deleting = false;
-    by_teid_[ctx.sgsn_teid.value()] = key(req->imsi, req->nsapi);
+    self.by_teid_[ctx.sgsn_teid.value()] = key(req.imsi, req.nsapi);
     auto create = pool_message<GtpCreatePdpContextRequest>();
-    create->imsi = req->imsi;
-    create->nsapi = req->nsapi;
-    create->sgsn_name = name();
+    create->imsi = req.imsi;
+    create->nsapi = req.nsapi;
+    create->sgsn_name = self.name();
     create->sgsn_teid = ctx.sgsn_teid;
-    create->requested_address = req->requested_address;
-    create->qos = req->qos;
-    send(ggsn(), std::move(create));
-    retx_.arm(
-        retx_key(RetxKind::kGtpCreate, req->imsi, req->nsapi),
-        [this, imsi = req->imsi, nsapi = req->nsapi,
-         requested = req->requested_address] {
-          const PdpContext* c = contexts_.find(key(imsi, nsapi));
+    create->requested_address = req.requested_address;
+    create->qos = req.qos;
+    self.send(self.ggsn(), std::move(create));
+    self.retx_.arm(
+        retx_key(RetxKind::kGtpCreate, req.imsi, req.nsapi),
+        [&self, imsi = req.imsi, nsapi = req.nsapi,
+         requested = req.requested_address] {
+          const PdpContext* c = self.contexts_.find(key(imsi, nsapi));
           if (c == nullptr || c->active) return;
           auto again = pool_message<GtpCreatePdpContextRequest>();
           again->imsi = imsi;
           again->nsapi = nsapi;
-          again->sgsn_name = name();
+          again->sgsn_name = self.name();
           again->sgsn_teid = c->sgsn_teid;
           again->requested_address = requested;
           again->qos = c->qos;
-          send(ggsn(), std::move(again));
+          self.send(self.ggsn(), std::move(again));
         },
-        [this, imsi = req->imsi, nsapi = req->nsapi] {
-          const PdpContext* c = contexts_.find(key(imsi, nsapi));
+        [&self, imsi = req.imsi, nsapi = req.nsapi] {
+          const PdpContext* c = self.contexts_.find(key(imsi, nsapi));
           if (c == nullptr || c->active) return;
           auto rej = pool_message<ActivatePdpContextReject>();
           rej->imsi = imsi;
           rej->nsapi = nsapi;
           rej->cause = 38;  // network failure: GGSN unreachable
-          send(c->holder, std::move(rej));
-          by_teid_.erase(c->sgsn_teid.value());
-          contexts_.erase(key(imsi, nsapi));
+          self.send(c->holder, std::move(rej));
+          self.by_teid_.erase(c->sgsn_teid.value());
+          self.contexts_.erase(key(imsi, nsapi));
         });
-    return;
-  }
-  if (const auto* rsp =
-          dynamic_cast<const GtpCreatePdpContextResponse*>(&msg)) {
-    retx_.ack(retx_key(RetxKind::kGtpCreate, rsp->imsi, rsp->nsapi));
-    PdpContext* found = contexts_.find(key(rsp->imsi, rsp->nsapi));
+  })
+  .on([](Sgsn& self, const GtpCreatePdpContextResponse& rsp) {
+    self.retx_.ack(retx_key(RetxKind::kGtpCreate, rsp.imsi, rsp.nsapi));
+    PdpContext* found = self.contexts_.find(key(rsp.imsi, rsp.nsapi));
     if (found == nullptr) return;
     PdpContext& ctx = *found;
-    if (!rsp->success) {
+    if (!rsp.success) {
       auto rej = pool_message<ActivatePdpContextReject>();
-      rej->imsi = rsp->imsi;
-      rej->nsapi = rsp->nsapi;
-      rej->cause = rsp->cause;
-      send(ctx.holder, std::move(rej));
-      by_teid_.erase(ctx.sgsn_teid.value());
-      contexts_.erase(key(rsp->imsi, rsp->nsapi));
+      rej->imsi = rsp.imsi;
+      rej->nsapi = rsp.nsapi;
+      rej->cause = rsp.cause;
+      self.send(ctx.holder, std::move(rej));
+      self.by_teid_.erase(ctx.sgsn_teid.value());
+      self.contexts_.erase(key(rsp.imsi, rsp.nsapi));
       return;
     }
-    ctx.address = rsp->address;
-    ctx.ggsn_teid = rsp->ggsn_teid;
-    ctx.qos = rsp->qos;
+    ctx.address = rsp.address;
+    ctx.ggsn_teid = rsp.ggsn_teid;
+    ctx.qos = rsp.qos;
     ctx.active = true;
-    ++net().metrics().counter(name() + "/pdp_activations");
-    net().metrics().gauge(name() + "/pdp_contexts") =
-        static_cast<double>(contexts_.size());
+    ++self.net().metrics().counter(self.name() + "/pdp_activations");
+    self.net().metrics().gauge(self.name() + "/pdp_contexts") =
+        static_cast<double>(self.contexts_.size());
     auto acc = pool_message<ActivatePdpContextAccept>();
-    acc->imsi = rsp->imsi;
-    acc->nsapi = rsp->nsapi;
-    acc->address = rsp->address;
-    acc->qos = rsp->qos;
-    send(ctx.holder, std::move(acc));
-    return;
-  }
-  if (const auto* req =
-          dynamic_cast<const DeactivatePdpContextRequest*>(&msg)) {
-    PdpContext* ctx = contexts_.find(key(req->imsi, req->nsapi));
+    acc->imsi = rsp.imsi;
+    acc->nsapi = rsp.nsapi;
+    acc->address = rsp.address;
+    acc->qos = rsp.qos;
+    self.send(ctx.holder, std::move(acc));
+  })
+  .on([](Sgsn& self, const DeactivatePdpContextRequest& req,
+         const Envelope& env) {
+    PdpContext* ctx = self.contexts_.find(key(req.imsi, req.nsapi));
     if (ctx == nullptr) {
       auto acc = pool_message<DeactivatePdpContextAccept>();
-      acc->imsi = req->imsi;
-      acc->nsapi = req->nsapi;
-      send(env.from, std::move(acc));
+      acc->imsi = req.imsi;
+      acc->nsapi = req.nsapi;
+      self.send(env.from, std::move(acc));
       return;
     }
     if (ctx->deleting) {
@@ -263,93 +253,84 @@ void Sgsn::on_message(const Envelope& env) {
     }
     ctx->deleting = true;
     auto del = pool_message<GtpDeletePdpContextRequest>();
-    del->imsi = req->imsi;
-    del->nsapi = req->nsapi;
+    del->imsi = req.imsi;
+    del->nsapi = req.nsapi;
     del->teid = ctx->ggsn_teid;
-    send(ggsn(), std::move(del));
-    retx_.arm(
-        retx_key(RetxKind::kGtpDelete, req->imsi, req->nsapi),
-        [this, imsi = req->imsi, nsapi = req->nsapi] {
-          const PdpContext* c = contexts_.find(key(imsi, nsapi));
+    self.send(self.ggsn(), std::move(del));
+    self.retx_.arm(
+        retx_key(RetxKind::kGtpDelete, req.imsi, req.nsapi),
+        [&self, imsi = req.imsi, nsapi = req.nsapi] {
+          const PdpContext* c = self.contexts_.find(key(imsi, nsapi));
           if (c == nullptr || !c->deleting) return;
           auto again = pool_message<GtpDeletePdpContextRequest>();
           again->imsi = imsi;
           again->nsapi = nsapi;
           again->teid = c->ggsn_teid;
-          send(ggsn(), std::move(again));
+          self.send(self.ggsn(), std::move(again));
         },
-        [this, imsi = req->imsi, nsapi = req->nsapi] {
+        [&self, imsi = req.imsi, nsapi = req.nsapi] {
           // GGSN unreachable: confirm toward the holder anyway and drop
           // the local context; the GGSN side ages out on its own.
-          const PdpContext* c = contexts_.find(key(imsi, nsapi));
+          const PdpContext* c = self.contexts_.find(key(imsi, nsapi));
           if (c == nullptr) return;
           NodeId holder = c->holder;
-          by_teid_.erase(c->sgsn_teid.value());
-          contexts_.erase(key(imsi, nsapi));
+          self.by_teid_.erase(c->sgsn_teid.value());
+          self.contexts_.erase(key(imsi, nsapi));
           auto acc = pool_message<DeactivatePdpContextAccept>();
           acc->imsi = imsi;
           acc->nsapi = nsapi;
-          send(holder, std::move(acc));
+          self.send(holder, std::move(acc));
         });
     // Deletion confirmation arrives as GTP_Delete_PDP_Context_Response.
-    return;
-  }
-  if (const auto* rsp =
-          dynamic_cast<const GtpDeletePdpContextResponse*>(&msg)) {
-    retx_.ack(retx_key(RetxKind::kGtpDelete, rsp->imsi, rsp->nsapi));
-    const PdpContext* ctx = contexts_.find(key(rsp->imsi, rsp->nsapi));
+  })
+  .on([](Sgsn& self, const GtpDeletePdpContextResponse& rsp) {
+    self.retx_.ack(retx_key(RetxKind::kGtpDelete, rsp.imsi, rsp.nsapi));
+    const PdpContext* ctx = self.contexts_.find(key(rsp.imsi, rsp.nsapi));
     if (ctx == nullptr) return;
     NodeId holder = ctx->holder;
-    by_teid_.erase(ctx->sgsn_teid.value());
-    contexts_.erase(key(rsp->imsi, rsp->nsapi));
-    ++net().metrics().counter(name() + "/pdp_deactivations");
-    net().metrics().gauge(name() + "/pdp_contexts") =
-        static_cast<double>(contexts_.size());
+    self.by_teid_.erase(ctx->sgsn_teid.value());
+    self.contexts_.erase(key(rsp.imsi, rsp.nsapi));
+    ++self.net().metrics().counter(self.name() + "/pdp_deactivations");
+    self.net().metrics().gauge(self.name() + "/pdp_contexts") =
+        static_cast<double>(self.contexts_.size());
     auto acc = pool_message<DeactivatePdpContextAccept>();
-    acc->imsi = rsp->imsi;
-    acc->nsapi = rsp->nsapi;
-    send(holder, std::move(acc));
-    return;
-  }
-
-  // --- network-initiated activation (3G TR 23.821 termination path) ----------
-  if (const auto* note =
-          dynamic_cast<const GtpPduNotificationRequest*>(&msg)) {
+    acc->imsi = rsp.imsi;
+    acc->nsapi = rsp.nsapi;
+    self.send(holder, std::move(acc));
+  })
+  .on([](Sgsn& self, const GtpPduNotificationRequest& note,
+         const Envelope& env) {
     auto rsp = pool_message<GtpPduNotificationResponse>();
-    rsp->imsi = note->imsi;
-    rsp->address = note->address;
-    send(env.from, std::move(rsp));
-    const Attachment* at = attachments_.find(note->imsi);
+    rsp->imsi = note.imsi;
+    rsp->address = note.address;
+    self.send(env.from, std::move(rsp));
+    const Attachment* at = self.attachments_.find(note.imsi);
     if (at == nullptr || !at->attached) {
-      VG_WARN("sgsn", name() << ": PDU notification for unattached "
-                             << note->imsi.to_string());
+      VG_WARN("sgsn", self.name() << ": PDU notification for unattached "
+                                  << note.imsi.to_string());
       return;
     }
     auto req = pool_message<RequestPdpContextActivation>();
-    req->imsi = note->imsi;
+    req->imsi = note.imsi;
     req->nsapi = Nsapi(5);
-    req->address = note->address;
-    send(at->holder, std::move(req));
-    return;
-  }
-
-  // --- user plane ---------------------------------------------------------------
-  if (const auto* up = dynamic_cast<const GbUnitData*>(&msg)) {
+    req->address = note.address;
+    self.send(at->holder, std::move(req));
+  })
+  .on([](Sgsn& self, const GbUnitData& up) {
     // Uplink: pick the sender's context whose PDP address matches the
     // datagram source; fall back to the subscriber's other active context.
     // Two direct probes of the NSAPIs in use (5 = signaling, 6 = voice) —
     // this runs per tunneled packet, so it must not scan the context table.
-    auto decoded = MessageRegistry::instance().decode(up->payload);
+    auto decoded = MessageRegistry::instance().decode(up.payload);
     IpAddress src;
     if (decoded.ok()) {
-      if (const auto* dgram =
-              dynamic_cast<const IpDatagram*>(decoded.value().get())) {
+      if (const auto* dgram = message_cast<IpDatagram>(decoded.value().get())) {
         src = dgram->src;
       }
     }
     const PdpContext* chosen = nullptr;
     for (std::uint8_t n : {std::uint8_t{5}, std::uint8_t{6}}) {
-      const PdpContext* ctx = contexts_.find(key(up->imsi, Nsapi(n)));
+      const PdpContext* ctx = self.contexts_.find(key(up.imsi, Nsapi(n)));
       if (ctx == nullptr || !ctx->active) continue;
       if (ctx->address == src) {
         chosen = ctx;
@@ -358,32 +339,34 @@ void Sgsn::on_message(const Envelope& env) {
       if (chosen == nullptr) chosen = ctx;
     }
     if (chosen == nullptr) {
-      VG_WARN("sgsn", name() << ": uplink data without PDP context from "
-                             << up->imsi.to_string());
+      VG_WARN("sgsn", self.name() << ": uplink data without PDP context from "
+                                  << up.imsi.to_string());
       return;
     }
     auto pdu = pool_message<GtpPdu>();
     pdu->teid = chosen->ggsn_teid;
-    pdu->payload = up->payload;
-    send(ggsn(), std::move(pdu));
-    return;
-  }
-  if (const auto* pdu = dynamic_cast<const GtpPdu*>(&msg)) {
-    const std::uint64_t* ctx_key = by_teid_.find(pdu->teid.value());
+    pdu->payload = up.payload;
+    self.send(self.ggsn(), std::move(pdu));
+  })
+  .on([](Sgsn& self, const GtpPdu& pdu) {
+    const std::uint64_t* ctx_key = self.by_teid_.find(pdu.teid.value());
     if (ctx_key == nullptr) {
-      VG_WARN("sgsn", name() << ": downlink PDU for unknown "
-                             << pdu->teid.to_string());
+      VG_WARN("sgsn", self.name() << ": downlink PDU for unknown "
+                                  << pdu.teid.to_string());
       return;
     }
-    const PdpContext& ctx = *contexts_.find(*ctx_key);
+    const PdpContext& ctx = *self.contexts_.find(*ctx_key);
     auto down = pool_message<GbUnitData>();
     down->imsi = ctx.imsi;
-    down->payload = pdu->payload;
-    send(ctx.holder, std::move(down));
-    return;
-  }
+    down->payload = pdu.payload;
+    self.send(ctx.holder, std::move(down));
+  });
+  return table;
+}
 
-  VG_WARN("sgsn", name() << ": unhandled " << msg.name());
+void Sgsn::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
+  VG_WARN("sgsn", name() << ": unhandled " << env.msg->name());
 }
 
 }  // namespace vgprs

@@ -45,6 +45,10 @@ class Sgsn final : public Node {
   }
   [[nodiscard]] const PdpContext* context(Imsi imsi, Nsapi nsapi) const;
 
+  using Handlers = NodeHandlers<Sgsn>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
   void on_timer(TimerId id, std::uint64_t cookie) override {
     (void)id;

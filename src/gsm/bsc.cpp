@@ -32,124 +32,120 @@ NodeId Bsc::bts_for(const Imsi& imsi) const {
   return it == bts_by_imsi_.end() ? NodeId{} : it->second;
 }
 
-void Bsc::on_message(const Envelope& env) {
-  // --- radio resource management, handled locally --------------------------
-  if (const auto* cr = dynamic_cast<const AbisChannelRequest*>(env.msg.get())) {
-    note_ms(cr->imsi, env.from);
-    if (sdcch_in_use_ >= config_.sdcch_channels) {
-      VG_WARN("bsc", name() << ": SDCCH congestion, request from "
-                            << cr->imsi.to_string() << " dropped");
+const Bsc::Handlers& Bsc::handler_table() {
+  static const Handlers table = Handlers{}
+  // Handlers.
+  .on([](Bsc& self, const AbisChannelRequest& cr, const Envelope& env) {
+    self.note_ms(cr.imsi, env.from);
+    if (self.sdcch_in_use_ >= self.config_.sdcch_channels) {
+      VG_WARN("bsc", self.name() << ": SDCCH congestion, request from "
+                                 << cr.imsi.to_string() << " dropped");
       return;  // the MS's request timer will expire
     }
-    ++sdcch_in_use_;
+    ++self.sdcch_in_use_;
     auto out = pool_message<AbisImmediateAssignment>();
-    out->imsi = cr->imsi;
-    out->channel = next_channel_++;
-    send(env.from, std::move(out));
-    return;
-  }
-  if (const auto* ar =
-          dynamic_cast<const AAssignmentRequest*>(env.msg.get())) {
-    if (tch_in_use_ >= config_.tch_channels) {
-      VG_WARN("bsc", name() << ": TCH congestion for " << ar->imsi.to_string());
+    out->imsi = cr.imsi;
+    out->channel = self.next_channel_++;
+    self.send(env.from, std::move(out));
+  })
+  .on([](Bsc& self, const AAssignmentRequest& ar) {
+    if (self.tch_in_use_ >= self.config_.tch_channels) {
+      VG_WARN("bsc", self.name() << ": TCH congestion for "
+                                 << ar.imsi.to_string());
       return;
     }
-    ++tch_in_use_;
-    NodeId bts = bts_for(ar->imsi);
+    ++self.tch_in_use_;
+    NodeId bts = self.bts_for(ar.imsi);
     if (!bts.valid()) return;
     auto out = pool_message<AbisAssignmentCommand>();
-    out->imsi = ar->imsi;
-    out->call_ref = ar->call_ref;
-    out->channel = next_channel_++;
-    send(bts, std::move(out));
-    return;
-  }
-  if (const auto* clear = dynamic_cast<const AClearCommand*>(env.msg.get())) {
-    if (sdcch_in_use_ > 0) --sdcch_in_use_;
-    if (tch_in_use_ > 0) --tch_in_use_;
+    out->imsi = ar.imsi;
+    out->call_ref = ar.call_ref;
+    out->channel = self.next_channel_++;
+    self.send(bts, std::move(out));
+  })
+  .on([](Bsc& self, const AClearCommand& clear) {
+    if (self.sdcch_in_use_ > 0) --self.sdcch_in_use_;
+    if (self.tch_in_use_ > 0) --self.tch_in_use_;
     auto out = pool_message<AClearComplete>();
-    out->imsi = clear->imsi;
-    out->call_ref = clear->call_ref;
-    send(msc(), std::move(out));
-    return;
-  }
-  if (const auto* pg = dynamic_cast<const APaging*>(env.msg.get())) {
+    out->imsi = clear.imsi;
+    out->call_ref = clear.call_ref;
+    self.send(self.msc(), std::move(out));
+  })
+  .on([](Bsc& self, const APaging& pg) {
     // Page every cell of the location area (all BTSs of this BSC).
-    for (const auto& [cell, bts] : bts_by_cell_) {
+    for (const auto& [cell, bts] : self.bts_by_cell_) {
       (void)cell;
       auto out = pool_message<AbisPaging>();
-      static_cast<PagingInfo&>(*out) = static_cast<const PagingInfo&>(*pg);
-      send(bts, std::move(out));
+      static_cast<PagingInfo&>(*out) = static_cast<const PagingInfo&>(pg);
+      self.send(bts, std::move(out));
     }
-    return;
-  }
-  if (const auto* hreq =
-          dynamic_cast<const AHandoverRequest*>(env.msg.get())) {
+  })
+  .on([](Bsc& self, const AHandoverRequest& hreq, const Envelope& env) {
     // Target-BSC side of inter-system handoff: reserve a channel in the
     // requested cell and acknowledge to the requesting MSC.
     auto ack = pool_message<AHandoverRequestAck>();
-    ack->imsi = hreq->imsi;
-    ack->call_ref = hreq->call_ref;
-    ack->target_cell = hreq->target_cell;
-    if (tch_in_use_ >= config_.tch_channels ||
-        !bts_by_cell_.contains(hreq->target_cell)) {
+    ack->imsi = hreq.imsi;
+    ack->call_ref = hreq.call_ref;
+    ack->target_cell = hreq.target_cell;
+    if (self.tch_in_use_ >= self.config_.tch_channels ||
+        !self.bts_by_cell_.contains(hreq.target_cell)) {
       ack->channel = 0;  // failure indication
     } else {
-      ++tch_in_use_;
-      ack->channel = next_channel_++;
+      ++self.tch_in_use_;
+      ack->channel = self.next_channel_++;
     }
-    send(env.from, std::move(ack));
-    return;
-  }
-  if (const auto* hacc =
-          dynamic_cast<const AbisHandoverAccess*>(env.msg.get())) {
+    self.send(env.from, std::move(ack));
+  })
+  .on([](Bsc& self, const AbisHandoverAccess& hacc, const Envelope& env) {
     // The MS arrived on our radio resources: adopt it and tell the MSC.
-    note_ms(hacc->imsi, env.from);
+    self.note_ms(hacc.imsi, env.from);
     auto out = pool_message<AHandoverDetect>();
-    out->imsi = hacc->imsi;
-    out->call_ref = hacc->call_ref;
-    send(msc(), std::move(out));
-    return;
-  }
+    out->imsi = hacc.imsi;
+    out->call_ref = hacc.call_ref;
+    self.send(self.msc(), std::move(out));
+  })
 
-  // --- uplink: Abis -> A ----------------------------------------------------
-  if (relay_up<AbisLocationUpdate, ALocationUpdate>(env)) return;
-  if (relay_up<AbisAuthResponse, AAuthResponse>(env)) return;
-  if (relay_up<AbisCipherModeComplete, ACipherModeComplete>(env)) return;
-  if (relay_up<AbisCmServiceRequest, ACmServiceRequest>(env)) return;
-  if (relay_up<AbisSetup, ASetup>(env)) return;
-  if (relay_up<AbisCallProceeding, ACallProceeding>(env)) return;
-  if (relay_up<AbisAlerting, AAlerting>(env)) return;
-  if (relay_up<AbisConnect, AConnect>(env)) return;
-  if (relay_up<AbisConnectAck, AConnectAck>(env)) return;
-  if (relay_up<AbisDisconnect, ADisconnect>(env)) return;
-  if (relay_up<AbisRelease, ARelease>(env)) return;
-  if (relay_up<AbisReleaseComplete, AReleaseComplete>(env)) return;
-  if (relay_up<AbisPagingResponse, APagingResponse>(env)) return;
-  if (relay_up<AbisAssignmentComplete, AAssignmentComplete>(env)) return;
-  if (relay_up<AbisHandoverComplete, AHandoverComplete>(env)) return;
-  if (relay_up<AbisVoiceFrame, AVoiceFrame>(env)) return;
-  if (relay_up<AbisImsiDetach, AImsiDetach>(env)) return;
+  // Uplink: Abis -> A.
+  .on<&Bsc::relay_up<AbisLocationUpdate, ALocationUpdate>>()
+  .on<&Bsc::relay_up<AbisAuthResponse, AAuthResponse>>()
+  .on<&Bsc::relay_up<AbisCipherModeComplete, ACipherModeComplete>>()
+  .on<&Bsc::relay_up<AbisCmServiceRequest, ACmServiceRequest>>()
+  .on<&Bsc::relay_up<AbisSetup, ASetup>>()
+  .on<&Bsc::relay_up<AbisCallProceeding, ACallProceeding>>()
+  .on<&Bsc::relay_up<AbisAlerting, AAlerting>>()
+  .on<&Bsc::relay_up<AbisConnect, AConnect>>()
+  .on<&Bsc::relay_up<AbisConnectAck, AConnectAck>>()
+  .on<&Bsc::relay_up<AbisDisconnect, ADisconnect>>()
+  .on<&Bsc::relay_up<AbisRelease, ARelease>>()
+  .on<&Bsc::relay_up<AbisReleaseComplete, AReleaseComplete>>()
+  .on<&Bsc::relay_up<AbisPagingResponse, APagingResponse>>()
+  .on<&Bsc::relay_up<AbisAssignmentComplete, AAssignmentComplete>>()
+  .on<&Bsc::relay_up<AbisHandoverComplete, AHandoverComplete>>()
+  .on<&Bsc::relay_up<AbisVoiceFrame, AVoiceFrame>>()
+  .on<&Bsc::relay_up<AbisImsiDetach, AImsiDetach>>()
 
-  // --- downlink: A -> Abis ----------------------------------------------------
-  if (relay_down<ALocationUpdateAccept, AbisLocationUpdateAccept>(env)) return;
-  if (relay_down<AAuthRequest, AbisAuthRequest>(env)) return;
-  if (relay_down<ACipherModeCommand, AbisCipherModeCommand>(env)) return;
-  if (relay_down<ACmServiceAccept, AbisCmServiceAccept>(env)) return;
-  if (relay_down<ASetup, AbisSetup>(env)) return;
-  if (relay_down<ACallProceeding, AbisCallProceeding>(env)) return;
-  if (relay_down<AAlerting, AbisAlerting>(env)) return;
-  if (relay_down<AConnect, AbisConnect>(env)) return;
-  if (relay_down<AConnectAck, AbisConnectAck>(env)) return;
-  if (relay_down<ADisconnect, AbisDisconnect>(env)) return;
-  if (relay_down<ARelease, AbisRelease>(env)) return;
-  if (relay_down<AReleaseComplete, AbisReleaseComplete>(env)) return;
-  if (relay_down<AHandoverCommand, AbisHandoverCommand>(env)) return;
-  if (relay_down<AVoiceFrame, AbisVoiceFrame>(env)) return;
-  if (relay_down<ALocationUpdateReject, AbisLocationUpdateReject>(env))
-    return;
-  if (relay_down<ACmServiceReject, AbisCmServiceReject>(env)) return;
+  // Downlink: A -> Abis.
+  .on<&Bsc::relay_down<ALocationUpdateAccept, AbisLocationUpdateAccept>>()
+  .on<&Bsc::relay_down<AAuthRequest, AbisAuthRequest>>()
+  .on<&Bsc::relay_down<ACipherModeCommand, AbisCipherModeCommand>>()
+  .on<&Bsc::relay_down<ACmServiceAccept, AbisCmServiceAccept>>()
+  .on<&Bsc::relay_down<ASetup, AbisSetup>>()
+  .on<&Bsc::relay_down<ACallProceeding, AbisCallProceeding>>()
+  .on<&Bsc::relay_down<AAlerting, AbisAlerting>>()
+  .on<&Bsc::relay_down<AConnect, AbisConnect>>()
+  .on<&Bsc::relay_down<AConnectAck, AbisConnectAck>>()
+  .on<&Bsc::relay_down<ADisconnect, AbisDisconnect>>()
+  .on<&Bsc::relay_down<ARelease, AbisRelease>>()
+  .on<&Bsc::relay_down<AReleaseComplete, AbisReleaseComplete>>()
+  .on<&Bsc::relay_down<AHandoverCommand, AbisHandoverCommand>>()
+  .on<&Bsc::relay_down<AVoiceFrame, AbisVoiceFrame>>()
+  .on<&Bsc::relay_down<ALocationUpdateReject, AbisLocationUpdateReject>>()
+  .on<&Bsc::relay_down<ACmServiceReject, AbisCmServiceReject>>();
+  return table;
+}
 
+void Bsc::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
   VG_WARN("bsc", name() << ": unhandled " << env.msg->name());
 }
 

@@ -40,6 +40,10 @@ class Bsc final : public Node {
   [[nodiscard]] std::uint16_t sdcch_in_use() const { return sdcch_in_use_; }
   [[nodiscard]] std::uint16_t tch_in_use() const { return tch_in_use_; }
 
+  using Handlers = NodeHandlers<Bsc>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
 
  private:
@@ -47,32 +51,27 @@ class Bsc final : public Node {
   [[nodiscard]] NodeId bts_for(const Imsi& imsi) const;
   void note_ms(const Imsi& imsi, NodeId bts) { bts_by_imsi_[imsi] = bts; }
 
+  /// Relays `m` to `dest` as a `To` carrying the same payload.
   template <typename From, typename To>
-  bool relay(const Envelope& env, NodeId dest) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
-    if (m == nullptr) return false;
+  void relay(const From& m, NodeId dest) {
     auto out = pool_message<To>();
     static_cast<typename To::payload_type&>(*out) =
-        static_cast<const typename From::payload_type&>(*m);
+        static_cast<const typename From::payload_type&>(m);
     send(dest, std::move(out));
-    return true;
   }
 
+  /// Uplink: also records which BTS serves the MS.
   template <typename From, typename To>
-  bool relay_up(const Envelope& env) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
-    if (m == nullptr) return false;
-    note_ms(m->imsi, env.from);
-    return relay<From, To>(env, msc());
+  void relay_up(const From& m, const Envelope& env) {
+    note_ms(m.imsi, env.from);
+    relay<From, To>(m, msc());
   }
 
+  /// Downlink: an unknown MS is swallowed.
   template <typename From, typename To>
-  bool relay_down(const Envelope& env) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
-    if (m == nullptr) return false;
-    NodeId bts = bts_for(m->imsi);
-    if (!bts.valid()) return true;  // unknown MS: swallow
-    return relay<From, To>(env, bts);
+  void relay_down(const From& m) {
+    NodeId bts = bts_for(m.imsi);
+    if (bts.valid()) relay<From, To>(m, bts);
   }
 
   Config config_;

@@ -17,7 +17,7 @@ NodeId Bts::ms_node(const Imsi& imsi) const {
   return it == ms_by_imsi_.end() ? NodeId{} : it->second;
 }
 
-void Bts::broadcast_paging(const PagingInfo& info) {
+void Bts::broadcast_paging(const AbisPaging& info) {
   // The paging channel reaches every MS camped on the cell; each MS filters
   // on its own identity.  One page is one fan-out over the cell: one
   // message, one wire round-trip, one queued entry per shard.
@@ -25,84 +25,79 @@ void Bts::broadcast_paging(const PagingInfo& info) {
   net().neighbors(id(), paged_);
   std::erase(paged_, bsc_id);
   auto out = pool_message<UmPagingRequest>();
-  static_cast<PagingInfo&>(*out) = info;
+  static_cast<PagingInfo&>(*out) = static_cast<const PagingInfo&>(info);
   net().send_each(id(), paged_, std::move(out));
 }
 
-void Bts::on_message(const Envelope& env) {
-  // Stamp the serving cell into uplink location/paging payloads before the
-  // generic relay (the MS does not know the cell identity; the BTS does).
-  if (const auto* lu =
-          dynamic_cast<const UmLocationUpdateRequest*>(env.msg.get())) {
-    note_ms(lu->imsi, env.from);
+const Bts::Handlers& Bts::handler_table() {
+  static const Handlers table = Handlers{}
+  // Handlers.
+  // Stamp the serving cell into uplink location/paging payloads instead of
+  // the generic relay (the MS does not know the cell identity; the BTS does).
+  .on([](Bts& self, const UmLocationUpdateRequest& lu, const Envelope& env) {
+    self.note_ms(lu.imsi, env.from);
     auto out = pool_message<AbisLocationUpdate>();
     static_cast<LocationUpdateInfo&>(*out) =
-        static_cast<const LocationUpdateInfo&>(*lu);
-    out->cell = cell_;
-    out->lai = lai_;
-    send(bsc(), std::move(out));
-    return;
-  }
-  if (const auto* pr = dynamic_cast<const UmPagingResponse*>(env.msg.get())) {
-    note_ms(pr->imsi, env.from);
+        static_cast<const LocationUpdateInfo&>(lu);
+    out->cell = self.cell_;
+    out->lai = self.lai_;
+    self.send(self.bsc(), std::move(out));
+  })
+  .on([](Bts& self, const UmPagingResponse& pr, const Envelope& env) {
+    self.note_ms(pr.imsi, env.from);
     auto out = pool_message<AbisPagingResponse>();
     static_cast<PagingResponseInfo&>(*out) =
-        static_cast<const PagingResponseInfo&>(*pr);
-    out->cell = cell_;
-    send(bsc(), std::move(out));
-    return;
-  }
-  if (const auto* ha = dynamic_cast<const UmHandoverAccess*>(env.msg.get())) {
-    // Handover access arrives at the *target* BTS: adopt the MS.
-    note_ms(ha->imsi, env.from);
-    relay<UmHandoverAccess, AbisHandoverAccess>(env, bsc());
-    return;
-  }
-  if (const auto* pg = dynamic_cast<const AbisPaging*>(env.msg.get())) {
-    broadcast_paging(*pg);
-    return;
-  }
+        static_cast<const PagingResponseInfo&>(pr);
+    out->cell = self.cell_;
+    self.send(self.bsc(), std::move(out));
+  })
+
+  // Handover access arrives at the *target* BTS: adopt the MS.
+  .on<&Bts::relay_up<UmHandoverAccess, AbisHandoverAccess>>()
+  .on<&Bts::broadcast_paging>()
 
   // Uplink: Um -> Abis.
-  if (relay_up<UmChannelRequest, AbisChannelRequest>(env)) return;
-  if (relay_up<UmAuthResponse, AbisAuthResponse>(env)) return;
-  if (relay_up<UmCipherModeComplete, AbisCipherModeComplete>(env)) return;
-  if (relay_up<UmCmServiceRequest, AbisCmServiceRequest>(env)) return;
-  if (relay_up<UmSetup, AbisSetup>(env)) return;
-  if (relay_up<UmCallProceeding, AbisCallProceeding>(env)) return;
-  if (relay_up<UmAlerting, AbisAlerting>(env)) return;
-  if (relay_up<UmConnect, AbisConnect>(env)) return;
-  if (relay_up<UmConnectAck, AbisConnectAck>(env)) return;
-  if (relay_up<UmDisconnect, AbisDisconnect>(env)) return;
-  if (relay_up<UmRelease, AbisRelease>(env)) return;
-  if (relay_up<UmReleaseComplete, AbisReleaseComplete>(env)) return;
-  if (relay_up<UmAssignmentComplete, AbisAssignmentComplete>(env)) return;
-  if (relay_up<UmHandoverComplete, AbisHandoverComplete>(env)) return;
-  if (relay_up<UmVoiceFrame, AbisVoiceFrame>(env)) return;
-  if (relay_up<UmImsiDetach, AbisImsiDetach>(env)) return;
+  .on<&Bts::relay_up<UmChannelRequest, AbisChannelRequest>>()
+  .on<&Bts::relay_up<UmAuthResponse, AbisAuthResponse>>()
+  .on<&Bts::relay_up<UmCipherModeComplete, AbisCipherModeComplete>>()
+  .on<&Bts::relay_up<UmCmServiceRequest, AbisCmServiceRequest>>()
+  .on<&Bts::relay_up<UmSetup, AbisSetup>>()
+  .on<&Bts::relay_up<UmCallProceeding, AbisCallProceeding>>()
+  .on<&Bts::relay_up<UmAlerting, AbisAlerting>>()
+  .on<&Bts::relay_up<UmConnect, AbisConnect>>()
+  .on<&Bts::relay_up<UmConnectAck, AbisConnectAck>>()
+  .on<&Bts::relay_up<UmDisconnect, AbisDisconnect>>()
+  .on<&Bts::relay_up<UmRelease, AbisRelease>>()
+  .on<&Bts::relay_up<UmReleaseComplete, AbisReleaseComplete>>()
+  .on<&Bts::relay_up<UmAssignmentComplete, AbisAssignmentComplete>>()
+  .on<&Bts::relay_up<UmHandoverComplete, AbisHandoverComplete>>()
+  .on<&Bts::relay_up<UmVoiceFrame, AbisVoiceFrame>>()
+  .on<&Bts::relay_up<UmImsiDetach, AbisImsiDetach>>()
 
   // Downlink: Abis -> Um.
-  if (relay_down<AbisImmediateAssignment, UmImmediateAssignment>(env)) return;
-  if (relay_down<AbisLocationUpdateAccept, UmLocationUpdateAccept>(env))
-    return;
-  if (relay_down<AbisAuthRequest, UmAuthRequest>(env)) return;
-  if (relay_down<AbisCipherModeCommand, UmCipherModeCommand>(env)) return;
-  if (relay_down<AbisCmServiceAccept, UmCmServiceAccept>(env)) return;
-  if (relay_down<AbisSetup, UmSetup>(env)) return;
-  if (relay_down<AbisCallProceeding, UmCallProceeding>(env)) return;
-  if (relay_down<AbisAlerting, UmAlerting>(env)) return;
-  if (relay_down<AbisConnect, UmConnect>(env)) return;
-  if (relay_down<AbisConnectAck, UmConnectAck>(env)) return;
-  if (relay_down<AbisDisconnect, UmDisconnect>(env)) return;
-  if (relay_down<AbisRelease, UmRelease>(env)) return;
-  if (relay_down<AbisReleaseComplete, UmReleaseComplete>(env)) return;
-  if (relay_down<AbisAssignmentCommand, UmAssignmentCommand>(env)) return;
-  if (relay_down<AbisHandoverCommand, UmHandoverCommand>(env)) return;
-  if (relay_down<AbisVoiceFrame, UmVoiceFrame>(env)) return;
-  if (relay_down<AbisLocationUpdateReject, UmLocationUpdateReject>(env))
-    return;
-  if (relay_down<AbisCmServiceReject, UmCmServiceReject>(env)) return;
+  .on<&Bts::relay_down<AbisImmediateAssignment, UmImmediateAssignment>>()
+  .on<&Bts::relay_down<AbisLocationUpdateAccept, UmLocationUpdateAccept>>()
+  .on<&Bts::relay_down<AbisAuthRequest, UmAuthRequest>>()
+  .on<&Bts::relay_down<AbisCipherModeCommand, UmCipherModeCommand>>()
+  .on<&Bts::relay_down<AbisCmServiceAccept, UmCmServiceAccept>>()
+  .on<&Bts::relay_down<AbisSetup, UmSetup>>()
+  .on<&Bts::relay_down<AbisCallProceeding, UmCallProceeding>>()
+  .on<&Bts::relay_down<AbisAlerting, UmAlerting>>()
+  .on<&Bts::relay_down<AbisConnect, UmConnect>>()
+  .on<&Bts::relay_down<AbisConnectAck, UmConnectAck>>()
+  .on<&Bts::relay_down<AbisDisconnect, UmDisconnect>>()
+  .on<&Bts::relay_down<AbisRelease, UmRelease>>()
+  .on<&Bts::relay_down<AbisReleaseComplete, UmReleaseComplete>>()
+  .on<&Bts::relay_down<AbisAssignmentCommand, UmAssignmentCommand>>()
+  .on<&Bts::relay_down<AbisHandoverCommand, UmHandoverCommand>>()
+  .on<&Bts::relay_down<AbisVoiceFrame, UmVoiceFrame>>()
+  .on<&Bts::relay_down<AbisLocationUpdateReject, UmLocationUpdateReject>>()
+  .on<&Bts::relay_down<AbisCmServiceReject, UmCmServiceReject>>();
+  return table;
+}
 
+void Bts::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
   VG_WARN("bts", name() << ": unhandled " << env.msg->name());
 }
 

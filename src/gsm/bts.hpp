@@ -25,42 +25,40 @@ class Bts final : public Node {
   [[nodiscard]] CellId cell() const { return cell_; }
   [[nodiscard]] LocationAreaId lai() const { return lai_; }
 
+  using Handlers = NodeHandlers<Bts>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
 
  private:
   [[nodiscard]] NodeId bsc() const;
   void note_ms(const Imsi& imsi, NodeId node) { ms_by_imsi_[imsi] = node; }
   [[nodiscard]] NodeId ms_node(const Imsi& imsi) const;
-  void broadcast_paging(const PagingInfo& info);
 
-  /// Relays env's message as a `To` carrying the same payload.
+  void broadcast_paging(const AbisPaging& info);
+
+  /// Relays `m` to `dest` as a `To` carrying the same payload.
   template <typename From, typename To>
-  bool relay(const Envelope& env, NodeId dest) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
-    if (m == nullptr) return false;
+  void relay(const From& m, NodeId dest) {
     auto out = pool_message<To>();
     static_cast<typename To::payload_type&>(*out) =
-        static_cast<const typename From::payload_type&>(*m);
+        static_cast<const typename From::payload_type&>(m);
     send(dest, std::move(out));
-    return true;
   }
 
-  /// Uplink variant: also records the MS node for downlink addressing.
+  /// Uplink: also records the MS node for downlink addressing.
   template <typename From, typename To>
-  bool relay_up(const Envelope& env) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
-    if (m == nullptr) return false;
-    note_ms(m->imsi, env.from);
-    return relay<From, To>(env, bsc());
+  void relay_up(const From& m, const Envelope& env) {
+    note_ms(m.imsi, env.from);
+    relay<From, To>(m, bsc());
   }
 
+  /// Downlink: dropped when the MS left the cell.
   template <typename From, typename To>
-  bool relay_down(const Envelope& env) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
-    if (m == nullptr) return false;
-    NodeId ms = ms_node(m->imsi);
-    if (!ms.valid()) return true;  // MS left the cell; drop
-    return relay<From, To>(env, ms);
+  void relay_down(const From& m) {
+    NodeId ms = ms_node(m.imsi);
+    if (ms.valid()) relay<From, To>(m, ms);
   }
 
   CellId cell_;

@@ -28,77 +28,68 @@ bool Hlr::interrogation_allowed(NodeId requester) {
   return false;
 }
 
-void Hlr::on_message(const Envelope& env) {
-  const Message& msg = *env.msg;
-
-  if (const auto* req = dynamic_cast<const MapSendAuthInfo*>(&msg)) {
-    const SubscriberRecord* rec = records_.find(req->imsi);
+const Hlr::Handlers& Hlr::handler_table() {
+  static const Handlers table = Handlers{}
+  .on([](Hlr& self, const MapSendAuthInfo& req, const Envelope& env) {
+    const SubscriberRecord* rec = self.records_.find(req.imsi);
     auto ack = pool_message<MapSendAuthInfoAck>();
-    ack->imsi = req->imsi;
+    ack->imsi = req.imsi;
     if (rec != nullptr) {
       for (int i = 0; i < 3; ++i) {
         ack->triplets.push_back(
-            make_triplet(rec->ki, net().rng().next_u64()));
+            make_triplet(rec->ki, self.net().rng().next_u64()));
       }
     }
-    send(env.from, std::move(ack));
-    return;
-  }
-
-  if (const auto* ul = dynamic_cast<const MapUpdateLocation*>(&msg)) {
-    SubscriberRecord* rec = records_.find(ul->imsi);
+    self.send(env.from, std::move(ack));
+  })
+  .on([](Hlr& self, const MapUpdateLocation& ul, const Envelope& env) {
+    SubscriberRecord* rec = self.records_.find(ul.imsi);
     if (rec == nullptr) {
       auto nack = pool_message<MapUpdateLocationAck>();
-      nack->imsi = ul->imsi;
+      nack->imsi = ul.imsi;
       nack->success = false;
       nack->cause = 1;  // unknown subscriber
-      send(env.from, std::move(nack));
+      self.send(env.from, std::move(nack));
       return;
     }
     // Cancel the registration at the previous VLR, if it moved.
-    if (!rec->vlr_name.empty() && rec->vlr_name != ul->vlr_name) {
-      if (Node* old_vlr = net().node_by_name(rec->vlr_name)) {
+    if (!rec->vlr_name.empty() && rec->vlr_name != ul.vlr_name) {
+      if (Node* old_vlr = self.net().node_by_name(rec->vlr_name)) {
         auto cancel = pool_message<MapCancelLocation>();
-        cancel->imsi = ul->imsi;
-        send(old_vlr->id(), std::move(cancel));
+        cancel->imsi = ul.imsi;
+        self.send(old_vlr->id(), std::move(cancel));
       }
     }
-    rec->vlr_name = ul->vlr_name;
-    rec->msc_name = ul->msc_name;
-    pending_updates_[ul->imsi] = PendingUpdate{env.from, ul->imsi};
+    rec->vlr_name = ul.vlr_name;
+    rec->msc_name = ul.msc_name;
+    self.pending_updates_[ul.imsi] = PendingUpdate{env.from, ul.imsi};
     auto isd = pool_message<MapInsertSubsData>();
-    isd->imsi = ul->imsi;
+    isd->imsi = ul.imsi;
     isd->profile = rec->profile;
-    send(env.from, std::move(isd));
-    return;
-  }
-
-  if (const auto* ack = dynamic_cast<const MapInsertSubsDataAck*>(&msg)) {
-    const PendingUpdate* pending = pending_updates_.find(ack->imsi);
+    self.send(env.from, std::move(isd));
+  })
+  .on([](Hlr& self, const MapInsertSubsDataAck& ack) {
+    const PendingUpdate* pending = self.pending_updates_.find(ack.imsi);
     if (pending == nullptr) return;
     auto done = pool_message<MapUpdateLocationAck>();
-    done->imsi = ack->imsi;
+    done->imsi = ack.imsi;
     done->success = true;
-    send(pending->requester, std::move(done));
-    pending_updates_.erase(ack->imsi);
-    return;
-  }
-
-  if (dynamic_cast<const MapCancelLocationAck*>(&msg) != nullptr) {
-    return;  // nothing pending on it
-  }
-
-  if (const auto* sri =
-          dynamic_cast<const MapSendRoutingInformation*>(&msg)) {
-    auto imsi = imsi_of(sri->msisdn);
+    self.send(pending->requester, std::move(done));
+    self.pending_updates_.erase(ack.imsi);
+  })
+  .on([](Hlr&, const MapCancelLocationAck&) {
+    // nothing pending on it
+  })
+  .on([](Hlr& self, const MapSendRoutingInformation& sri, const Envelope& env) {
+    auto imsi = self.imsi_of(sri.msisdn);
     const SubscriberRecord* rec =
-        imsi.has_value() ? record(*imsi) : nullptr;
-    if (!interrogation_allowed(env.from)) rec = nullptr;
+        imsi.has_value() ? self.record(*imsi) : nullptr;
+    if (!self.interrogation_allowed(env.from)) rec = nullptr;
     if (rec == nullptr || (rec->vlr_name.empty() && rec->sgsn_name.empty())) {
       auto nack = pool_message<MapSendRoutingInformationAck>();
-      nack->msisdn = sri->msisdn;
+      nack->msisdn = sri.msisdn;
       nack->found = false;
-      send(env.from, std::move(nack));
+      self.send(env.from, std::move(nack));
       return;
     }
     if (rec->vlr_name.empty()) {
@@ -107,71 +98,66 @@ void Hlr::on_message(const Envelope& env) {
       // delivery.  Note this hands the confidential IMSI to whoever asks —
       // the paper's Section 6 objection to the TR architecture.
       auto ack = pool_message<MapSendRoutingInformationAck>();
-      ack->msisdn = sri->msisdn;
+      ack->msisdn = sri.msisdn;
       ack->imsi = *imsi;
       ack->found = true;
-      send(env.from, std::move(ack));
+      self.send(env.from, std::move(ack));
       return;
     }
-    Node* vlr = net().node_by_name(rec->vlr_name);
+    Node* vlr = self.net().node_by_name(rec->vlr_name);
     if (vlr == nullptr) {
-      VG_ERROR("hlr", name() << ": VLR " << rec->vlr_name << " missing");
+      VG_ERROR("hlr", self.name() << ": VLR " << rec->vlr_name << " missing");
       return;
     }
-    pending_sri_[*imsi] = PendingSri{env.from, sri->msisdn};
+    self.pending_sri_[*imsi] = PendingSri{env.from, sri.msisdn};
     auto prn = pool_message<MapProvideRoamingNumber>();
     prn->imsi = *imsi;
-    prn->msisdn = sri->msisdn;
-    send(vlr->id(), std::move(prn));
-    return;
-  }
-
-  if (const auto* prn_ack =
-          dynamic_cast<const MapProvideRoamingNumberAck*>(&msg)) {
-    const PendingSri* pending = pending_sri_.find(prn_ack->imsi);
+    prn->msisdn = sri.msisdn;
+    self.send(vlr->id(), std::move(prn));
+  })
+  .on([](Hlr& self, const MapProvideRoamingNumberAck& prn_ack) {
+    const PendingSri* pending = self.pending_sri_.find(prn_ack.imsi);
     if (pending == nullptr) return;
-    const SubscriberRecord* rec = record(prn_ack->imsi);
+    const SubscriberRecord* rec = self.record(prn_ack.imsi);
     auto ack = pool_message<MapSendRoutingInformationAck>();
     ack->msisdn = pending->msisdn;
-    ack->imsi = prn_ack->imsi;
-    ack->msrn = prn_ack->msrn;
+    ack->imsi = prn_ack.imsi;
+    ack->msrn = prn_ack.msrn;
     ack->serving_msc = rec != nullptr ? rec->msc_name : "";
     ack->found = true;
-    send(pending->requester, std::move(ack));
-    pending_sri_.erase(prn_ack->imsi);
-    return;
-  }
-
-  if (const auto* req =
-          dynamic_cast<const MapSendRoutingInfoForGprs*>(&msg)) {
+    self.send(pending->requester, std::move(ack));
+    self.pending_sri_.erase(prn_ack.imsi);
+  })
+  .on([](Hlr& self, const MapSendRoutingInfoForGprs& req, const Envelope& env) {
     auto ack = pool_message<MapSendRoutingInfoForGprsAck>();
-    ack->imsi = req->imsi;
-    const SubscriberRecord* rec = record(req->imsi);
-    if (!interrogation_allowed(env.from)) rec = nullptr;
+    ack->imsi = req.imsi;
+    const SubscriberRecord* rec = self.record(req.imsi);
+    if (!self.interrogation_allowed(env.from)) rec = nullptr;
     if (rec != nullptr && !rec->sgsn_name.empty()) {
       ack->sgsn_name = rec->sgsn_name;
       ack->found = true;
     }
-    send(env.from, std::move(ack));
-    return;
-  }
-
-  if (const auto* gprs = dynamic_cast<const MapUpdateGprsLocation*>(&msg)) {
+    self.send(env.from, std::move(ack));
+  })
+  .on([](Hlr& self, const MapUpdateGprsLocation& gprs, const Envelope& env) {
     auto ack = pool_message<MapUpdateGprsLocationAck>();
-    ack->imsi = gprs->imsi;
-    SubscriberRecord* rec = records_.find(gprs->imsi);
+    ack->imsi = gprs.imsi;
+    SubscriberRecord* rec = self.records_.find(gprs.imsi);
     if (rec == nullptr) {
       ack->success = false;
       ack->cause = 1;
     } else {
-      rec->sgsn_name = gprs->sgsn_name;
+      rec->sgsn_name = gprs.sgsn_name;
       ack->success = true;
     }
-    send(env.from, std::move(ack));
-    return;
-  }
+    self.send(env.from, std::move(ack));
+  });
+  return table;
+}
 
-  VG_WARN("hlr", name() << ": unhandled " << msg.name());
+void Hlr::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
+  VG_WARN("hlr", name() << ": unhandled " << env.msg->name());
 }
 
 }  // namespace vgprs

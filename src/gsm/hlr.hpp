@@ -46,6 +46,10 @@ class Hlr final : public Node {
   [[nodiscard]] const SubscriberRecord* record(Imsi imsi) const;
   [[nodiscard]] std::optional<Imsi> imsi_of(Msisdn msisdn) const;
 
+  using Handlers = NodeHandlers<Hlr>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
 
  private:

@@ -202,250 +202,214 @@ void MobileStation::on_timer(TimerId, std::uint64_t cookie) {
   }
 }
 
-void MobileStation::on_message(const Envelope& env) {
-  const Message& msg = *env.msg;
-
-  // -- paging (mobile-terminated call) -----------------------------------------
-  // Tested first, with one wire-type test: the BTS repeats every page to
-  // each MS camped on the cell, so in a busy cell nearly every message an
-  // MS receives is a page for somebody else, and the chain of failed
-  // dynamic_casts below cost more than the page itself.  Wire types are
-  // unique and ProtoMessage is final, so the static_cast is exact.
-  if (msg.wire_type() == UmPagingRequest::kWireType) {
-    const auto& page = static_cast<const UmPagingRequest&>(msg);
-    const bool mine = page.imsi == config_.imsi ||
-                      (page.tmsi.valid() && page.tmsi == tmsi_);
-    if (!mine || state_ != State::kIdle) return;
-    enter(State::kMtChannel);
+const MobileStation::Handlers& MobileStation::handler_table() {
+  static const Handlers table = Handlers{}
+  // In a busy cell nearly every message an MS receives is a page for
+  // somebody else: the BTS repeats every page to each MS camped on the cell.
+  .on([](MobileStation& self, const UmPagingRequest& page) {
+    const bool mine = page.imsi == self.config_.imsi ||
+                      (page.tmsi.valid() && page.tmsi == self.tmsi_);
+    if (!mine || self.state_ != State::kIdle) return;
+    self.enter(State::kMtChannel);
     auto req = pool_message<UmChannelRequest>();
-    req->imsi = config_.imsi;
+    req->imsi = self.config_.imsi;
     req->cause = ChannelCause::kPageResponse;
-    start_step(std::move(req));
-    return;
-  }
-
-  // -- security procedures: answered in any state ----------------------------
-  if (const auto* auth = dynamic_cast<const UmAuthRequest*>(&msg)) {
+    self.start_step(std::move(req));
+  })
+  .on([](MobileStation& self, const UmAuthRequest& auth, const Envelope& env) {
     auto rsp = pool_message<UmAuthResponse>();
-    rsp->imsi = config_.imsi;
-    rsp->sres = gsm_a3_sres(config_.ki, auth->rand);
-    send(env.from, std::move(rsp));
-    return;
-  }
-  if (dynamic_cast<const UmCipherModeCommand*>(&msg) != nullptr) {
+    rsp->imsi = self.config_.imsi;
+    rsp->sres = gsm_a3_sres(self.config_.ki, auth.rand);
+    self.send(env.from, std::move(rsp));
+  })
+  .on([](MobileStation& self, const UmCipherModeCommand&, const Envelope& env) {
     auto rsp = pool_message<UmCipherModeComplete>();
-    rsp->imsi = config_.imsi;
-    send(env.from, std::move(rsp));
-    return;
-  }
-
-  if (const auto* rej = dynamic_cast<const UmLocationUpdateReject*>(&msg)) {
-    if (state_ == State::kRegistering) {
-      close_state_span(SpanOutcome::kRejected);
-      enter(State::kDetached);
-      if (on_failure) {
-        on_failure("location update rejected, cause " +
-                   std::to_string(rej->cause));
+    rsp->imsi = self.config_.imsi;
+    self.send(env.from, std::move(rsp));
+  })
+  .on([](MobileStation& self, const UmLocationUpdateReject& rej) {
+    if (self.state_ == State::kRegistering) {
+      self.close_state_span(SpanOutcome::kRejected);
+      self.enter(State::kDetached);
+      if (self.on_failure) {
+        self.on_failure("location update rejected, cause " +
+                        std::to_string(rej.cause));
       }
     }
-    return;
-  }
-  if (const auto* rej = dynamic_cast<const UmCmServiceReject*>(&msg)) {
-    if (state_ == State::kMoService || state_ == State::kMoSetup) {
-      close_state_span(SpanOutcome::kRejected);
-      enter(State::kIdle);
-      if (on_failure) {
-        on_failure("CM service rejected, cause " +
-                   std::to_string(rej->cause));
+  })
+  .on([](MobileStation& self, const UmCmServiceReject& rej) {
+    if (self.state_ == State::kMoService || self.state_ == State::kMoSetup) {
+      self.close_state_span(SpanOutcome::kRejected);
+      self.enter(State::kIdle);
+      if (self.on_failure) {
+        self.on_failure("CM service rejected, cause " +
+                        std::to_string(rej.cause));
       }
-      if (rej->cause == 4) {
+      if (rej.cause == 4) {
         // GSM 04.08 cause #4 "IMSI unknown in VLR": the network lost our
         // registration (VLR or switch restart).  Delete the TMSI and run
         // location updating again so service can resume.
-        tmsi_ = Tmsi{};
-        ++net().metrics().counter("recovery/reregistrations");
-        enter(State::kRegistering);
-        net().spans().open(SpanKind::kRegistration, config_.imsi.value(),
-                           name(), now());
+        self.tmsi_ = Tmsi{};
+        ++self.net().metrics().counter("recovery/reregistrations");
+        self.enter(State::kRegistering);
+        self.net().spans().open(SpanKind::kRegistration,
+                                self.config_.imsi.value(), self.name(),
+                                self.now());
         auto lu = pool_message<UmLocationUpdateRequest>();
-        lu->imsi = config_.imsi;
-        lu->tmsi = tmsi_;
-        start_step(std::move(lu));
+        lu->imsi = self.config_.imsi;
+        lu->tmsi = self.tmsi_;
+        self.start_step(std::move(lu));
       }
     }
-    return;
-  }
-
-  // -- registration -----------------------------------------------------------
-  if (const auto* acc = dynamic_cast<const UmLocationUpdateAccept*>(&msg)) {
-    if (state_ != State::kRegistering) return;
-    close_state_span(SpanOutcome::kOk);
-    tmsi_ = acc->new_tmsi;
-    enter(State::kIdle);
-    if (on_registered) on_registered();
-    return;
-  }
-
-  // -- channel management ------------------------------------------------------
-  if (dynamic_cast<const UmImmediateAssignment*>(&msg) != nullptr) {
-    if (state_ == State::kMoChannel) {
-      enter(State::kMoService);
+  })
+  .on([](MobileStation& self, const UmLocationUpdateAccept& acc) {
+    if (self.state_ != State::kRegistering) return;
+    self.close_state_span(SpanOutcome::kOk);
+    self.tmsi_ = acc.new_tmsi;
+    self.enter(State::kIdle);
+    if (self.on_registered) self.on_registered();
+  })
+  .on([](MobileStation& self, const UmImmediateAssignment&) {
+    if (self.state_ == State::kMoChannel) {
+      self.enter(State::kMoService);
       auto req = pool_message<UmCmServiceRequest>();
-      req->imsi = config_.imsi;
-      req->tmsi = tmsi_;
+      req->imsi = self.config_.imsi;
+      req->tmsi = self.tmsi_;
       req->service = 1;
-      start_step(std::move(req));
-    } else if (state_ == State::kMtChannel) {
-      enter(State::kMtPaged);
+      self.start_step(std::move(req));
+    } else if (self.state_ == State::kMtChannel) {
+      self.enter(State::kMtPaged);
       auto rsp = pool_message<UmPagingResponse>();
-      rsp->imsi = config_.imsi;
-      rsp->tmsi = tmsi_;
-      start_step(std::move(rsp));
+      rsp->imsi = self.config_.imsi;
+      rsp->tmsi = self.tmsi_;
+      self.start_step(std::move(rsp));
     }
-    return;
-  }
-  if (dynamic_cast<const UmCmServiceAccept*>(&msg) != nullptr) {
-    if (state_ != State::kMoService) return;
-    enter(State::kMoSetup);
+  })
+  .on([](MobileStation& self, const UmCmServiceAccept&) {
+    if (self.state_ != State::kMoService) return;
+    self.enter(State::kMoSetup);
     auto setup = pool_message<UmSetup>();
-    setup->imsi = config_.imsi;
-    setup->call_ref = call_ref_;
-    setup->calling = config_.msisdn;
-    setup->called = pending_called_;
-    start_step(std::move(setup));
-    return;
-  }
-  if (const auto* asg = dynamic_cast<const UmAssignmentCommand*>(&msg)) {
+    setup->imsi = self.config_.imsi;
+    setup->call_ref = self.call_ref_;
+    setup->calling = self.config_.msisdn;
+    setup->called = self.pending_called_;
+    self.start_step(std::move(setup));
+  })
+  .on([](MobileStation& self, const UmAssignmentCommand& asg) {
     auto done = pool_message<UmAssignmentComplete>();
-    done->imsi = config_.imsi;
-    done->call_ref = asg->call_ref;
-    done->channel = asg->channel;
-    send(bts(), std::move(done));
-    return;
-  }
-
-  // -- mobile-terminated call ---------------------------------------------------
-  if (const auto* setup = dynamic_cast<const UmSetup*>(&msg)) {
-    if (state_ != State::kMtPaged) return;
-    call_ref_ = setup->call_ref;
-    enter(State::kMtRinging);
-    if (on_incoming) on_incoming(call_ref_, setup->calling);
+    done->imsi = self.config_.imsi;
+    done->call_ref = asg.call_ref;
+    done->channel = asg.channel;
+    self.send(self.bts(), std::move(done));
+  })
+  .on([](MobileStation& self, const UmSetup& setup) {
+    if (self.state_ != State::kMtPaged) return;
+    self.call_ref_ = setup.call_ref;
+    self.enter(State::kMtRinging);
+    if (self.on_incoming) self.on_incoming(self.call_ref_, setup.calling);
     auto alert = pool_message<UmAlerting>();
-    alert->imsi = config_.imsi;
-    alert->call_ref = call_ref_;
-    send(bts(), std::move(alert));
-    if (config_.auto_answer) {
-      set_timer(config_.answer_delay,
-                cookie_of(state_,
+    alert->imsi = self.config_.imsi;
+    alert->call_ref = self.call_ref_;
+    self.send(self.bts(), std::move(alert));
+    if (self.config_.auto_answer) {
+      self.set_timer(self.config_.answer_delay,
+                     cookie_of(self.state_,
                           static_cast<std::uint8_t>(TimerKind::kAnswer),
-                          epoch_));
+                          self.epoch_));
     }
-    return;
-  }
-
-  // -- call progress (MO side) ---------------------------------------------------
-  if (dynamic_cast<const UmCallProceeding*>(&msg) != nullptr) {
-    return;  // informational
-  }
-  if (dynamic_cast<const UmAlerting*>(&msg) != nullptr) {
-    if (state_ == State::kMoSetup) {
-      enter(State::kMoRinging);
-      if (on_ringback) on_ringback(call_ref_);
+  })
+  .on([](MobileStation&, const UmCallProceeding&) {
+    // informational
+  })
+  .on([](MobileStation& self, const UmAlerting&) {
+    if (self.state_ == State::kMoSetup) {
+      self.enter(State::kMoRinging);
+      if (self.on_ringback) self.on_ringback(self.call_ref_);
     }
-    return;
-  }
-  if (dynamic_cast<const UmConnect*>(&msg) != nullptr) {
-    if (state_ == State::kMoRinging || state_ == State::kMoSetup) {
-      close_state_span(SpanOutcome::kOk);
+  })
+  .on([](MobileStation& self, const UmConnect&) {
+    if (self.state_ == State::kMoRinging || self.state_ == State::kMoSetup) {
+      self.close_state_span(SpanOutcome::kOk);
       auto ack = pool_message<UmConnectAck>();
-      ack->imsi = config_.imsi;
-      ack->call_ref = call_ref_;
-      send(bts(), std::move(ack));
-      enter(State::kConnected);
-      if (on_connected) on_connected(call_ref_);
-      if (voice_remaining_ > 0) send_voice_frame();
+      ack->imsi = self.config_.imsi;
+      ack->call_ref = self.call_ref_;
+      self.send(self.bts(), std::move(ack));
+      self.enter(State::kConnected);
+      if (self.on_connected) self.on_connected(self.call_ref_);
+      if (self.voice_remaining_ > 0) self.send_voice_frame();
     }
-    return;
-  }
-  if (dynamic_cast<const UmConnectAck*>(&msg) != nullptr) {
-    if (state_ == State::kMtRinging) {
-      enter(State::kConnected);
-      if (on_connected) on_connected(call_ref_);
-      if (voice_remaining_ > 0) send_voice_frame();
+  })
+  .on([](MobileStation& self, const UmConnectAck&) {
+    if (self.state_ == State::kMtRinging) {
+      self.enter(State::kConnected);
+      if (self.on_connected) self.on_connected(self.call_ref_);
+      if (self.voice_remaining_ > 0) self.send_voice_frame();
     }
-    return;
-  }
-
-  // -- call clearing ----------------------------------------------------------------
-  if (const auto* disc = dynamic_cast<const UmDisconnect*>(&msg)) {
+  })
+  .on([](MobileStation& self, const UmDisconnect& disc) {
     // Network-initiated clearing: legal in any in-call state, including
     // the MT pre-ring states (the caller may abandon during paging).
-    if (state_ == State::kConnected || state_ == State::kMtRinging ||
-        state_ == State::kMoRinging || state_ == State::kMoSetup ||
-        state_ == State::kMoService || state_ == State::kMtPaged ||
-        state_ == State::kMtChannel) {
+    if (self.state_ == State::kConnected || self.state_ == State::kMtRinging ||
+        self.state_ == State::kMoRinging || self.state_ == State::kMoSetup ||
+        self.state_ == State::kMoService || self.state_ == State::kMtPaged ||
+        self.state_ == State::kMtChannel) {
       // Clearing mid-setup aborts the MO origination in flight.
-      close_state_span(SpanOutcome::kRejected);
-      enter(State::kReleasing);
-      net().spans().open(SpanKind::kRelease, config_.imsi.value(), name(),
-                         now());
+      self.close_state_span(SpanOutcome::kRejected);
+      self.enter(State::kReleasing);
+      self.net().spans().open(SpanKind::kRelease, self.config_.imsi.value(),
+                              self.name(), self.now());
       auto rel = pool_message<UmRelease>();
-      rel->imsi = config_.imsi;
-      rel->call_ref = disc->call_ref;
-      start_step(std::move(rel));
+      rel->imsi = self.config_.imsi;
+      rel->call_ref = disc.call_ref;
+      self.start_step(std::move(rel));
     }
-    return;
-  }
-  if (const auto* rel = dynamic_cast<const UmRelease*>(&msg)) {
+  })
+  .on([](MobileStation& self, const UmRelease& rel) {
     // Network confirms MS-initiated disconnect.
-    if (state_ == State::kReleasing) {
-      close_state_span(SpanOutcome::kOk);
+    if (self.state_ == State::kReleasing) {
+      self.close_state_span(SpanOutcome::kOk);
       auto done = pool_message<UmReleaseComplete>();
-      done->imsi = config_.imsi;
-      done->call_ref = rel->call_ref;
-      send(bts(), std::move(done));
-      enter(State::kIdle);
-      if (on_released) on_released(rel->call_ref);
+      done->imsi = self.config_.imsi;
+      done->call_ref = rel.call_ref;
+      self.send(self.bts(), std::move(done));
+      self.enter(State::kIdle);
+      if (self.on_released) self.on_released(rel.call_ref);
     }
-    return;
-  }
-  if (const auto* rc = dynamic_cast<const UmReleaseComplete*>(&msg)) {
-    if (state_ == State::kReleasing) {
-      close_state_span(SpanOutcome::kOk);
-      enter(State::kIdle);
-      if (on_released) on_released(rc->call_ref);
+  })
+  .on([](MobileStation& self, const UmReleaseComplete& rc) {
+    if (self.state_ == State::kReleasing) {
+      self.close_state_span(SpanOutcome::kOk);
+      self.enter(State::kIdle);
+      if (self.on_released) self.on_released(rc.call_ref);
     }
-    return;
-  }
-
-  // -- handover ----------------------------------------------------------------------
-  if (const auto* ho = dynamic_cast<const UmHandoverCommand*>(&msg)) {
-    auto it = neighbor_bts_.find(ho->target_cell);
-    if (it == neighbor_bts_.end()) {
-      fail("handover to unknown cell " + ho->target_cell.to_string());
+  })
+  .on([](MobileStation& self, const UmHandoverCommand& ho) {
+    auto it = self.neighbor_bts_.find(ho.target_cell);
+    if (it == self.neighbor_bts_.end()) {
+      self.fail("handover to unknown cell " + ho.target_cell.to_string());
       return;
     }
-    serving_bts_ = it->second;
+    self.serving_bts_ = it->second;
     auto access = pool_message<UmHandoverAccess>();
-    access->imsi = config_.imsi;
-    access->call_ref = ho->call_ref;
-    send(bts(), access);
+    access->imsi = self.config_.imsi;
+    access->call_ref = ho.call_ref;
+    self.send(self.bts(), access);
     auto complete = pool_message<UmHandoverComplete>();
-    complete->imsi = config_.imsi;
-    complete->call_ref = ho->call_ref;
-    send(bts(), std::move(complete));
-    return;
-  }
+    complete->imsi = self.config_.imsi;
+    complete->call_ref = ho.call_ref;
+    self.send(self.bts(), std::move(complete));
+  })
+  .on([](MobileStation& self, const UmVoiceFrame& vf) {
+    ++self.voice_rx_;
+    self.voice_latency_.add(
+        SimDuration::micros(self.now().count_micros() - vf.origin_us));
+  });
+  return table;
+}
 
-  // -- voice --------------------------------------------------------------------------
-  if (const auto* vf = dynamic_cast<const UmVoiceFrame*>(&msg)) {
-    ++voice_rx_;
-    voice_latency_.add(
-        SimDuration::micros(now().count_micros() - vf->origin_us));
-    return;
-  }
-
-  VG_DEBUG("ms", name() << ": ignoring " << msg.name() << " in state "
+void MobileStation::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
+  VG_DEBUG("ms", name() << ": ignoring " << env.msg->name() << " in state "
                         << to_string(state_));
 }
 

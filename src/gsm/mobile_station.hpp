@@ -92,6 +92,10 @@ class MobileStation final : public Node {
   std::function<void(CallRef)> on_released;
   std::function<void(std::string)> on_failure;
 
+  using Handlers = NodeHandlers<MobileStation>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
   void on_timer(TimerId id, std::uint64_t cookie) override;
 

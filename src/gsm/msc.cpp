@@ -89,155 +89,133 @@ void GsmMsc::on_uplink_voice(MsContext& ctx, const VoiceFrameInfo& frame) {
   send(trunk_peer_[it->second], std::move(voice));
 }
 
-// --- incoming ISUP ---------------------------------------------------------------
-
-void GsmMsc::handle_incoming_iam(const Envelope& env, const IsupIam& iam) {
-  if (is_msrn(iam.called)) {
-    // Terminating leg of GSM call delivery: resolve MSRN -> IMSI at the
-    // co-located VLR, then page and set up the call.
-    Msrn msrn(iam.called.value());
-    pending_msrn_[msrn] = PendingIncoming{iam.cic, env.from, iam.calling};
-    auto query = pool_message<MapSendInfoForIncomingCall>();
-    query->msrn = msrn;
-    send(vlr(), std::move(query));
-    return;
-  }
-  if (config_.gmsc_role) {
-    // Gateway role: interrogate the HLR for the roaming number, then
-    // forward the call leg (this is what trombones, Fig. 7).
-    pending_sri_[iam.called] =
-        PendingIncoming{iam.cic, env.from, iam.calling};
-    auto sri = pool_message<MapSendRoutingInformation>();
-    sri->msisdn = iam.called;
-    sri->gmsc_name = name();
-    send(hlr(), std::move(sri));
-    return;
-  }
-  auto rel = pool_message<IsupRel>();
-  rel->cic = iam.cic;
-  rel->cause = 1;  // unallocated number
-  send(env.from, std::move(rel));
-}
-
-bool GsmMsc::on_unhandled(const Envelope& env) {
-  const Message& msg = *env.msg;
-
-  if (const auto* iam = dynamic_cast<const IsupIam*>(&msg)) {
-    handle_incoming_iam(env, *iam);
-    return true;
-  }
-
-  if (const auto* ack =
-          dynamic_cast<const MapSendInfoForIncomingCallAck*>(&msg)) {
-    auto it = pending_msrn_.find(ack->msrn);
-    if (it == pending_msrn_.end()) return true;
+const MscBase::Handlers& GsmMsc::handler_table() {
+  static const Handlers table = Handlers(MscBase::handler_table())
+  .on([](GsmMsc& self, const IsupIam& iam, const Envelope& env) {
+    if (self.is_msrn(iam.called)) {
+      // Terminating leg of GSM call delivery: resolve MSRN -> IMSI at the
+      // co-located VLR, then page and set up the call.
+      Msrn msrn(iam.called.value());
+      self.pending_msrn_[msrn] =
+          PendingIncoming{iam.cic, env.from, iam.calling};
+      auto query = pool_message<MapSendInfoForIncomingCall>();
+      query->msrn = msrn;
+      self.send(self.vlr(), std::move(query));
+      return;
+    }
+    if (self.config_.gmsc_role) {
+      // Gateway role: interrogate the HLR for the roaming number, then
+      // forward the call leg (this is what trombones, Fig. 7).
+      self.pending_sri_[iam.called] =
+          PendingIncoming{iam.cic, env.from, iam.calling};
+      auto sri = pool_message<MapSendRoutingInformation>();
+      sri->msisdn = iam.called;
+      sri->gmsc_name = self.name();
+      self.send(self.hlr(), std::move(sri));
+      return;
+    }
+    auto rel = pool_message<IsupRel>();
+    rel->cic = iam.cic;
+    rel->cause = 1;  // unallocated number
+    self.send(env.from, std::move(rel));
+  })
+  .on([](GsmMsc& self, const MapSendInfoForIncomingCallAck& ack) {
+    auto it = self.pending_msrn_.find(ack.msrn);
+    if (it == self.pending_msrn_.end()) return;
     PendingIncoming pending = it->second;
-    pending_msrn_.erase(it);
-    if (!ack->found) {
+    self.pending_msrn_.erase(it);
+    if (!ack.found) {
       auto rel = pool_message<IsupRel>();
       rel->cic = pending.cic;
       rel->cause = 1;
-      send(pending.from, std::move(rel));
-      return true;
+      self.send(pending.from, std::move(rel));
+      return;
     }
     CallRef call_ref(0x40000000u | pending.cic);
-    call_by_cic_[pending.cic] = call_ref;
-    cic_by_call_[call_ref] = pending.cic;
-    trunk_peer_[pending.cic] = pending.from;
-    if (!start_mt_call(ack->imsi, pending.calling, call_ref)) {
+    self.call_by_cic_[pending.cic] = call_ref;
+    self.cic_by_call_[call_ref] = pending.cic;
+    self.trunk_peer_[pending.cic] = pending.from;
+    if (!self.start_mt_call(ack.imsi, pending.calling, call_ref)) {
       auto rel = pool_message<IsupRel>();
       rel->cic = pending.cic;
       rel->cause = 17;  // busy
-      send(pending.from, std::move(rel));
+      self.send(pending.from, std::move(rel));
     }
-    return true;
-  }
-
-  if (const auto* ack =
-          dynamic_cast<const MapSendRoutingInformationAck*>(&msg)) {
-    auto it = pending_sri_.find(ack->msisdn);
-    if (it == pending_sri_.end()) return true;
+  })
+  .on([](GsmMsc& self, const MapSendRoutingInformationAck& ack) {
+    auto it = self.pending_sri_.find(ack.msisdn);
+    if (it == self.pending_sri_.end()) return;
     PendingIncoming pending = it->second;
-    pending_sri_.erase(it);
-    if (!ack->found) {
+    self.pending_sri_.erase(it);
+    if (!ack.found) {
       auto rel = pool_message<IsupRel>();
       rel->cic = pending.cic;
       rel->cause = 1;
-      send(pending.from, std::move(rel));
-      return true;
+      self.send(pending.from, std::move(rel));
+      return;
     }
     // Forward the call toward the serving MSC by dialling the MSRN into
     // the PSTN; we stay in the path as a transit exchange with a fresh
     // circuit on the outgoing trunk.
     Cic out_cic = allocate_cic();
-    transit_legs_.push_back(
-        TransitLeg{pending.from, pending.cic, pstn(), out_cic});
-    transit_index_[pending.cic] = transit_legs_.size() - 1;
-    transit_index_[out_cic] = transit_legs_.size() - 1;
+    self.transit_legs_.push_back(
+        TransitLeg{pending.from, pending.cic, self.pstn(), out_cic});
+    self.transit_index_[pending.cic] = self.transit_legs_.size() - 1;
+    self.transit_index_[out_cic] = self.transit_legs_.size() - 1;
     auto iam = pool_message<IsupIam>();
     iam->cic = out_cic;
     iam->calling = pending.calling;
-    iam->called = Msisdn(ack->msrn.value(), 12);
-    send(pstn(), std::move(iam));
-    return true;
-  }
-
-  if (const auto* acm = dynamic_cast<const IsupAcm*>(&msg)) {
-    if (relay_transit(env, *acm)) return true;
-    auto it = call_by_cic_.find(acm->cic);
-    if (it == call_by_cic_.end()) return true;
-    MsContext* ctx = context_by_call(it->second);
+    iam->called = Msisdn(ack.msrn.value(), 12);
+    self.send(self.pstn(), std::move(iam));
+  })
+  .on([](GsmMsc& self, const IsupAcm& acm, const Envelope& env) {
+    if (self.relay_transit(env, acm)) return;
+    auto it = self.call_by_cic_.find(acm.cic);
+    if (it == self.call_by_cic_.end()) return;
+    MsContext* ctx = self.context_by_call(it->second);
     if (ctx != nullptr && ctx->proc == Proc::kMoCall) {
-      notify_mo_alerting(*ctx);
+      self.notify_mo_alerting(*ctx);
     }
-    return true;
-  }
-  if (const auto* anm = dynamic_cast<const IsupAnm*>(&msg)) {
-    if (relay_transit(env, *anm)) return true;
-    auto it = call_by_cic_.find(anm->cic);
-    if (it == call_by_cic_.end()) return true;
-    MsContext* ctx = context_by_call(it->second);
+  })
+  .on([](GsmMsc& self, const IsupAnm& anm, const Envelope& env) {
+    if (self.relay_transit(env, anm)) return;
+    auto it = self.call_by_cic_.find(anm.cic);
+    if (it == self.call_by_cic_.end()) return;
+    MsContext* ctx = self.context_by_call(it->second);
     if (ctx != nullptr && ctx->proc == Proc::kMoCall) {
-      notify_mo_connect(*ctx);
+      self.notify_mo_connect(*ctx);
     }
-    return true;
-  }
-  if (const auto* rel = dynamic_cast<const IsupRel*>(&msg)) {
-    if (relay_transit(env, *rel)) return true;
+  })
+  .on([](GsmMsc& self, const IsupRel& rel, const Envelope& env) {
+    if (self.relay_transit(env, rel)) return;
     auto rlc = pool_message<IsupRlc>();
-    rlc->cic = rel->cic;
-    send(env.from, std::move(rlc));
-    auto it = call_by_cic_.find(rel->cic);
-    if (it == call_by_cic_.end()) return true;
-    if (MsContext* ctx = context_by_call(it->second)) {
-      release_from_network(*ctx, static_cast<ClearCause>(rel->cause));
+    rlc->cic = rel.cic;
+    self.send(env.from, std::move(rlc));
+    auto it = self.call_by_cic_.find(rel.cic);
+    if (it == self.call_by_cic_.end()) return;
+    if (MsContext* ctx = self.context_by_call(it->second)) {
+      self.release_from_network(*ctx, static_cast<ClearCause>(rel.cause));
     }
-    return true;
-  }
-  if (const auto* rlc = dynamic_cast<const IsupRlc*>(&msg)) {
-    if (relay_transit(env, *rlc)) {
-      auto it = transit_index_.find(rlc->cic);
-      if (it != transit_index_.end()) {
-        const TransitLeg& leg = transit_legs_[it->second];
-        transit_index_.erase(leg.up_cic == rlc->cic ? leg.down_cic
-                                                    : leg.up_cic);
-        transit_index_.erase(rlc->cic);
-      }
-      return true;
+  })
+  .on([](GsmMsc& self, const IsupRlc& rlc, const Envelope& env) {
+    if (!self.relay_transit(env, rlc)) return;  // confirmation of our REL
+    auto it = self.transit_index_.find(rlc.cic);
+    if (it != self.transit_index_.end()) {
+      const TransitLeg& leg = self.transit_legs_[it->second];
+      self.transit_index_.erase(leg.up_cic == rlc.cic ? leg.down_cic
+                                                      : leg.up_cic);
+      self.transit_index_.erase(rlc.cic);
     }
-    return true;  // confirmation of our REL
-  }
-  if (const auto* voice = dynamic_cast<const TrunkVoice*>(&msg)) {
-    if (relay_transit(env, *voice)) return true;
-    auto it = call_by_cic_.find(voice->cic);
-    if (it == call_by_cic_.end()) return true;
-    if (MsContext* ctx = context_by_call(it->second)) {
-      send_downlink_voice(*ctx, voice->seq, voice->origin_us);
+  })
+  .on([](GsmMsc& self, const TrunkVoice& voice, const Envelope& env) {
+    if (self.relay_transit(env, voice)) return;
+    auto it = self.call_by_cic_.find(voice.cic);
+    if (it == self.call_by_cic_.end()) return;
+    if (MsContext* ctx = self.context_by_call(it->second)) {
+      self.send_downlink_voice(*ctx, voice.seq, voice.origin_us);
     }
-    return true;
-  }
-
-  return false;
+  });
+  return table;
 }
 
 }  // namespace vgprs

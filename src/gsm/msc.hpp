@@ -26,8 +26,12 @@ class GsmMsc final : public MscBase {
     std::uint64_t msrn_prefix = 0;
   };
 
+  /// MscBase's table extended with ISUP trunks and the GMSC queries.
+  static const Handlers& handler_table();
+
   GsmMsc(std::string name, MscConfig config)
-      : MscBase(std::move(name), config.base), config_(std::move(config)) {}
+      : MscBase(std::move(name), config.base, handler_table()),
+        config_(std::move(config)) {}
 
   [[nodiscard]] std::size_t transit_legs() const {
     return transit_legs_.size();
@@ -41,7 +45,6 @@ class GsmMsc final : public MscBase {
   void on_call_cleared(MsContext& ctx) override;
   void on_call_aborted(MsContext& ctx) override;
   void on_uplink_voice(MsContext& ctx, const VoiceFrameInfo& frame) override;
-  bool on_unhandled(const Envelope& env) override;
 
  private:
   struct TransitLeg {
@@ -60,7 +63,6 @@ class GsmMsc final : public MscBase {
   [[nodiscard]] NodeId hlr() const;
   [[nodiscard]] bool is_msrn(const Msisdn& called) const;
   void release_trunk_leg(MsContext& ctx, ClearCause cause);
-  void handle_incoming_iam(const Envelope& env, const IsupIam& iam);
 
   /// Relays an ISUP message along a transit (GMSC) leg pair, translating
   /// the circuit identification code between the two trunks.

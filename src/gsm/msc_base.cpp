@@ -248,243 +248,6 @@ void MscBase::send_downlink_voice(MsContext& ctx, std::uint32_t seq,
   }
 }
 
-// --- inter-system handoff -------------------------------------------------------------
-
-bool MscBase::handle_handover(const Envelope& env) {
-  const Message& msg = *env.msg;
-
-  // Anchor: the serving BSC reports that the MS must move to a cell we do
-  // not control.
-  if (const auto* req = dynamic_cast<const AHandoverRequired*>(&msg)) {
-    MsContext* ctx = context(req->imsi);
-    if (ctx == nullptr) return true;
-    auto it = remote_cells_.find(req->target_cell);
-    if (it == remote_cells_.end()) {
-      VG_WARN("msc", name() << ": no MSC for cell "
-                            << req->target_cell.to_string());
-      return true;
-    }
-    Node* target = net().node_by_name(it->second);
-    if (target == nullptr) return true;
-    net().spans().open(SpanKind::kHandoff, req->imsi.value(), name(), now());
-    ++net().metrics().counter(name() + "/handoffs_started");
-    ctx->handover_target = req->target_cell;
-    auto prep = pool_message<MapPrepareHandover>();
-    prep->imsi = req->imsi;
-    prep->call_ref = req->call_ref;
-    prep->target_cell = req->target_cell;
-    prep->anchor_msc = name();
-    send(target->id(), std::move(prep));
-    // The MAP exchange is fire-and-forget per message (the exempted
-    // retransmission rows promise the anchor supervises end-to-end):
-    // bound the whole attempt so a dead target MSC or lost end signal
-    // returns the call to the serving cell instead of wedging it.
-    ++ctx->handoff_epoch;
-    std::uint64_t cookie = next_guard_cookie_++;
-    handoff_guards_[cookie] = {req->imsi, ctx->handoff_epoch};
-    set_timer(config_.handoff_guard, cookie);
-    return true;
-  }
-
-  // Target: the anchor asks us to prepare radio resources.
-  if (const auto* prep = dynamic_cast<const MapPrepareHandover*>(&msg)) {
-    auto it = own_cells_.find(prep->target_cell);
-    auto nack = [&] {
-      auto ack = pool_message<MapPrepareHandoverAck>();
-      ack->imsi = prep->imsi;
-      ack->call_ref = prep->call_ref;
-      ack->success = false;
-      send(env.from, std::move(ack));
-    };
-    if (it == own_cells_.end()) {
-      nack();
-      return true;
-    }
-    Node* bsc = net().node_by_name(it->second);
-    if (bsc == nullptr) {
-      nack();
-      return true;
-    }
-    MsContext& ctx = contexts_[prep->imsi];
-    ctx.imsi = prep->imsi;
-    ctx.handed_in = true;
-    ctx.remote_msc = env.from;
-    ctx.bsc = bsc->id();
-    ctx.cell = prep->target_cell;
-    ctx.call_ref = prep->call_ref;
-    call_index_[prep->call_ref] = prep->imsi;
-    auto req = pool_message<AHandoverRequest>();
-    req->imsi = prep->imsi;
-    req->call_ref = prep->call_ref;
-    req->target_cell = prep->target_cell;
-    send(ctx.bsc, std::move(req));
-    return true;
-  }
-
-  // Target: its BSC reserved (or failed to reserve) a channel.
-  if (const auto* ack = dynamic_cast<const AHandoverRequestAck*>(&msg)) {
-    MsContext* ctx = context(ack->imsi);
-    if (ctx == nullptr || !ctx->handed_in) return true;
-    auto out = pool_message<MapPrepareHandoverAck>();
-    out->imsi = ack->imsi;
-    out->call_ref = ack->call_ref;
-    out->channel = ack->channel;
-    out->success = ack->channel != 0;
-    send(ctx->remote_msc, std::move(out));
-    return true;
-  }
-
-  // Anchor: resources ready at the target; command the MS over.
-  if (const auto* ack = dynamic_cast<const MapPrepareHandoverAck*>(&msg)) {
-    MsContext* ctx = context(ack->imsi);
-    if (ctx == nullptr) return true;
-    if (!ack->success) {
-      VG_WARN("msc", name() << ": handover preparation failed for "
-                            << ack->imsi.to_string());
-      net().spans().close(SpanKind::kHandoff, ack->imsi.value(),
-                          SpanOutcome::kRejected, now());
-      ctx->handover_target = CellId{};
-      ++ctx->handoff_epoch;  // disarm the handoff guard
-      return true;
-    }
-    auto cmd = pool_message<AHandoverCommand>();
-    cmd->imsi = ack->imsi;
-    cmd->call_ref = ack->call_ref;
-    cmd->target_cell = ctx->handover_target;
-    cmd->channel = ack->channel;
-    send(ctx->bsc, std::move(cmd));
-    return true;
-  }
-
-  if (const auto* det = dynamic_cast<const AHandoverDetect*>(&msg)) {
-    VG_DEBUG("msc", name() << ": handover detect " << det->imsi.to_string());
-    return true;
-  }
-
-  // Target: the MS completed the move; tell the anchor (MAP E interface).
-  if (const auto* done = dynamic_cast<const AHandoverComplete*>(&msg)) {
-    MsContext* ctx = context(done->imsi);
-    if (ctx == nullptr || !ctx->handed_in) return false;
-    auto end = pool_message<MapSendEndSignal>();
-    end->imsi = done->imsi;
-    end->call_ref = done->call_ref;
-    send(ctx->remote_msc, std::move(end));
-    return true;
-  }
-
-  // Anchor: switch the call path onto the inter-MSC trunk and release the
-  // old radio resources.  The anchor stays in the call path (Fig. 9(b)).
-  if (const auto* end = dynamic_cast<const MapSendEndSignal*>(&msg)) {
-    MsContext* ctx = context(end->imsi);
-    if (ctx == nullptr) return true;
-    net().spans().close(SpanKind::kHandoff, end->imsi.value(),
-                        SpanOutcome::kOk, now());
-    ++net().metrics().counter(name() + "/handoffs_completed");
-    ++ctx->handoff_epoch;  // disarm the handoff guard
-    NodeId old_bsc = ctx->bsc;
-    ctx->handed_off = true;
-    ctx->remote_msc = env.from;
-    auto clear = pool_message<AClearCommand>();
-    clear->imsi = end->imsi;
-    clear->call_ref = end->call_ref;
-    send(old_bsc, std::move(clear));
-    return true;
-  }
-
-  return false;
-}
-
-// --- MAP responses ------------------------------------------------------------------------
-
-bool MscBase::handle_map_message(const Envelope& env) {
-  const Message& msg = *env.msg;
-
-  if (const auto* ack = dynamic_cast<const MapSendAuthInfoAck*>(&msg)) {
-    retx_.ack(retx_key(RetxKind::kMapAuth, ack->imsi));
-    MsContext* ctx = context(ack->imsi);
-    if (ctx == nullptr || ctx->step != Step::kAuthInfo) return true;
-    if (ack->triplets.empty()) {
-      if (ctx->proc == Proc::kRegister) {
-        reject_registration(*ctx, 6);  // no auth vectors
-      } else {
-        auto rej = pool_message<ACmServiceReject>();
-        rej->imsi = ctx->imsi;
-        rej->cause = 6;
-        send(ctx->bsc, std::move(rej));
-        ctx->proc = Proc::kNone;
-        ctx->step = Step::kNone;
-      }
-      return true;
-    }
-    ctx->triplet = ack->triplets.front();
-    ctx->has_triplet = true;
-    ctx->step = Step::kAuthChallenge;
-    auto chal = pool_message<AAuthRequest>();
-    chal->imsi = ctx->imsi;
-    chal->rand = ctx->triplet.rand;
-    send(ctx->bsc, std::move(chal));
-    return true;
-  }
-
-  if (const auto* ack = dynamic_cast<const MapUpdateLocationAreaAck*>(&msg)) {
-    retx_.ack(retx_key(RetxKind::kMapUla, ack->imsi));
-    MsContext* ctx = context(ack->imsi);
-    if (ctx == nullptr || ctx->step != Step::kUla) return true;
-    if (!ack->success) {
-      reject_registration(*ctx, ack->cause);
-      return true;
-    }
-    ctx->tmsi = ack->new_tmsi;
-    ctx->msisdn = ack->msisdn;
-    ctx->step = Step::kSubstrate;
-    on_registration_substrate(*ctx);
-    return true;
-  }
-
-  if (const auto* ack =
-          dynamic_cast<const MapSendInfoForOutgoingCallAck*>(&msg)) {
-    retx_.ack(retx_key(RetxKind::kMapOutCall, ack->imsi));
-    MsContext* ctx = context(ack->imsi);
-    if (ctx == nullptr || ctx->step != Step::kAuthorize) return true;
-    if (!ack->success) {
-      if (ack->cause == 1) {
-        // "Unidentified subscriber": the VLR lost its visitor record — a
-        // VLR restart while we still believed the MS registered.  GSM
-        // 04.08 recovery: reject the MM connection with cause #4 so the
-        // MS deletes its TMSI and re-runs the location update.
-        ctx->registered = false;
-        disarm_procedure_guard(*ctx);
-        call_index_.erase(ctx->call_ref);
-        ctx->proc = Proc::kNone;
-        ctx->step = Step::kNone;
-        ctx->call_ref = CallRef{};
-        auto rej = pool_message<ACmServiceReject>();
-        rej->imsi = ctx->imsi;
-        rej->cause = 4;  // IMSI unknown in VLR
-        send(ctx->bsc, std::move(rej));
-        return true;
-      }
-      reject_mo_call(*ctx, ClearCause::kCallRejected);
-      return true;
-    }
-    // Call proceeding + traffic channel toward the MS, then let the
-    // subclass route the far-end leg.
-    auto proceed = pool_message<ACallProceeding>();
-    proceed->imsi = ctx->imsi;
-    proceed->call_ref = ctx->call_ref;
-    send(ctx->bsc, std::move(proceed));
-    auto assign = pool_message<AAssignmentRequest>();
-    assign->imsi = ctx->imsi;
-    assign->call_ref = ctx->call_ref;
-    send(ctx->bsc, std::move(assign));
-    ctx->step = Step::kMoProgress;
-    route_mo_call(*ctx);
-    return true;
-  }
-
-  return false;
-}
-
 // --- A interface ------------------------------------------------------------------------------
 
 void MscBase::arm_procedure_guard(MsContext& ctx) {
@@ -581,151 +344,357 @@ void MscBase::remove_subscriber(Imsi imsi) {
   on_subscriber_removed(snapshot);
 }
 
-void MscBase::handle_a_message(const Envelope& env) {
-  const Message& msg = *env.msg;
+// --- target-MSC relay for handed-in contexts -----------------------------------
 
-  if (const auto* detach = dynamic_cast<const AImsiDetach*>(&msg)) {
-    remove_subscriber(detach->imsi);
-    return;
-  }
-  if (const auto* cancel = dynamic_cast<const MapCancelLocation*>(&msg)) {
-    remove_subscriber(cancel->imsi);
-    return;
-  }
+bool MscBase::relay_handed_in(Imsi imsi, const Envelope& env) {
+  MsContext* ctx = context(imsi);
+  if (ctx == nullptr || !ctx->handed_in) return false;
+  send(env.from == ctx->remote_msc ? ctx->bsc : ctx->remote_msc,
+       MessagePtr(env.msg->clone()));
+  return true;
+}
 
-  if (const auto* lu = dynamic_cast<const ALocationUpdate*>(&msg)) {
-    MsContext& ctx = contexts_[lu->imsi];
-    ctx.imsi = lu->imsi;
-    ctx.lai = lu->lai;
-    ctx.cell = lu->cell;
-    ctx.bsc = env.from;
-    ctx.proc = Proc::kRegister;
-    arm_procedure_guard(ctx);
-    if (config_.authenticate_registration) {
-      begin_auth(ctx);
-    } else {
-      send_ula(ctx);
+// --- dispatch -----------------------------------------------------------------
+
+const MscBase::Handlers& MscBase::handler_table() {
+  static const Handlers table = Handlers{}
+  // Inter-system handoff, anchor and target roles.
+  // Anchor: the serving BSC reports that the MS must move to a cell we do
+  // not control.
+  .on([](MscBase& self, const AHandoverRequired& req) {
+    MsContext* ctx = self.context(req.imsi);
+    if (ctx == nullptr) return;
+    auto it = self.remote_cells_.find(req.target_cell);
+    if (it == self.remote_cells_.end()) {
+      VG_WARN("msc", self.name() << ": no MSC for cell "
+                                 << req.target_cell.to_string());
+      return;
     }
-    return;
-  }
+    Node* target = self.net().node_by_name(it->second);
+    if (target == nullptr) return;
+    self.net().spans().open(SpanKind::kHandoff, req.imsi.value(), self.name(),
+                            self.now());
+    ++self.net().metrics().counter(self.name() + "/handoffs_started");
+    ctx->handover_target = req.target_cell;
+    auto prep = pool_message<MapPrepareHandover>();
+    prep->imsi = req.imsi;
+    prep->call_ref = req.call_ref;
+    prep->target_cell = req.target_cell;
+    prep->anchor_msc = self.name();
+    self.send(target->id(), std::move(prep));
+    // The MAP exchange is fire-and-forget per message (the exempted
+    // retransmission rows promise the anchor supervises end-to-end):
+    // bound the whole attempt so a dead target MSC or lost end signal
+    // returns the call to the serving cell instead of wedging it.
+    ++ctx->handoff_epoch;
+    std::uint64_t cookie = self.next_guard_cookie_++;
+    self.handoff_guards_[cookie] = {req.imsi, ctx->handoff_epoch};
+    self.set_timer(self.config_.handoff_guard, cookie);
+  })
+  // Target: the anchor asks us to prepare radio resources.
+  .on([](MscBase& self, const MapPrepareHandover& prep, const Envelope& env) {
+    auto it = self.own_cells_.find(prep.target_cell);
+    auto nack = [&] {
+      auto ack = pool_message<MapPrepareHandoverAck>();
+      ack->imsi = prep.imsi;
+      ack->call_ref = prep.call_ref;
+      ack->success = false;
+      self.send(env.from, std::move(ack));
+    };
+    if (it == self.own_cells_.end()) {
+      nack();
+      return;
+    }
+    Node* bsc = self.net().node_by_name(it->second);
+    if (bsc == nullptr) {
+      nack();
+      return;
+    }
+    MsContext& ctx = self.contexts_[prep.imsi];
+    ctx.imsi = prep.imsi;
+    ctx.handed_in = true;
+    ctx.remote_msc = env.from;
+    ctx.bsc = bsc->id();
+    ctx.cell = prep.target_cell;
+    ctx.call_ref = prep.call_ref;
+    self.call_index_[prep.call_ref] = prep.imsi;
+    auto req = pool_message<AHandoverRequest>();
+    req->imsi = prep.imsi;
+    req->call_ref = prep.call_ref;
+    req->target_cell = prep.target_cell;
+    self.send(ctx.bsc, std::move(req));
+  })
+  // Target: its BSC reserved (or failed to reserve) a channel.
+  .on([](MscBase& self, const AHandoverRequestAck& ack) {
+    MsContext* ctx = self.context(ack.imsi);
+    if (ctx == nullptr || !ctx->handed_in) return;
+    auto out = pool_message<MapPrepareHandoverAck>();
+    out->imsi = ack.imsi;
+    out->call_ref = ack.call_ref;
+    out->channel = ack.channel;
+    out->success = ack.channel != 0;
+    self.send(ctx->remote_msc, std::move(out));
+  })
+  // Anchor: resources ready at the target; command the MS over.
+  .on([](MscBase& self, const MapPrepareHandoverAck& ack) {
+    MsContext* ctx = self.context(ack.imsi);
+    if (ctx == nullptr) return;
+    if (!ack.success) {
+      VG_WARN("msc", self.name() << ": handover preparation failed for "
+                                 << ack.imsi.to_string());
+      self.net().spans().close(SpanKind::kHandoff, ack.imsi.value(),
+                               SpanOutcome::kRejected, self.now());
+      ctx->handover_target = CellId{};
+      ++ctx->handoff_epoch;  // disarm the handoff guard
+      return;
+    }
+    auto cmd = pool_message<AHandoverCommand>();
+    cmd->imsi = ack.imsi;
+    cmd->call_ref = ack.call_ref;
+    cmd->target_cell = ctx->handover_target;
+    cmd->channel = ack.channel;
+    self.send(ctx->bsc, std::move(cmd));
+  })
+  .on([](MscBase& self, const AHandoverDetect& det) {
+    VG_DEBUG("msc", self.name() << ": handover detect "
+                                << det.imsi.to_string());
+  })
+  // Target: the MS completed the move; tell the anchor (MAP E interface).
+  .on([](MscBase& self, const AHandoverComplete& done) {
+    MsContext* ctx = self.context(done.imsi);
+    if (ctx == nullptr || !ctx->handed_in) {
+      self.unhandled(done);
+      return;
+    }
+    auto end = pool_message<MapSendEndSignal>();
+    end->imsi = done.imsi;
+    end->call_ref = done.call_ref;
+    self.send(ctx->remote_msc, std::move(end));
+  })
+  // Anchor: switch the call path onto the inter-MSC trunk and release the
+  // old radio resources.  The anchor stays in the call path (Fig. 9(b)).
+  .on([](MscBase& self, const MapSendEndSignal& end, const Envelope& env) {
+    MsContext* ctx = self.context(end.imsi);
+    if (ctx == nullptr) return;
+    self.net().spans().close(SpanKind::kHandoff, end.imsi.value(),
+                             SpanOutcome::kOk, self.now());
+    ++self.net().metrics().counter(self.name() + "/handoffs_completed");
+    ++ctx->handoff_epoch;  // disarm the handoff guard
+    NodeId old_bsc = ctx->bsc;
+    ctx->handed_off = true;
+    ctx->remote_msc = env.from;
+    auto clear = pool_message<AClearCommand>();
+    clear->imsi = end.imsi;
+    clear->call_ref = end.call_ref;
+    self.send(old_bsc, std::move(clear));
+  })
 
-  if (const auto* rsp = dynamic_cast<const AAuthResponse*>(&msg)) {
-    MsContext* ctx = context(rsp->imsi);
-    if (ctx == nullptr || ctx->step != Step::kAuthChallenge) return;
-    if (!ctx->has_triplet || rsp->sres != ctx->triplet.sres) {
-      VG_WARN("msc", name() << ": authentication failure for "
-                            << rsp->imsi.to_string());
+  // MAP responses.
+  .on([](MscBase& self, const MapSendAuthInfoAck& ack) {
+    self.retx_.ack(retx_key(RetxKind::kMapAuth, ack.imsi));
+    MsContext* ctx = self.context(ack.imsi);
+    if (ctx == nullptr || ctx->step != Step::kAuthInfo) return;
+    if (ack.triplets.empty()) {
       if (ctx->proc == Proc::kRegister) {
-        reject_registration(*ctx, 6);
+        self.reject_registration(*ctx, 6);  // no auth vectors
       } else {
         auto rej = pool_message<ACmServiceReject>();
         rej->imsi = ctx->imsi;
         rej->cause = 6;
-        send(ctx->bsc, std::move(rej));
+        self.send(ctx->bsc, std::move(rej));
         ctx->proc = Proc::kNone;
         ctx->step = Step::kNone;
       }
       return;
     }
-    if (config_.ciphering) {
+    ctx->triplet = ack.triplets.front();
+    ctx->has_triplet = true;
+    ctx->step = Step::kAuthChallenge;
+    auto chal = pool_message<AAuthRequest>();
+    chal->imsi = ctx->imsi;
+    chal->rand = ctx->triplet.rand;
+    self.send(ctx->bsc, std::move(chal));
+  })
+  .on([](MscBase& self, const MapUpdateLocationAreaAck& ack) {
+    self.retx_.ack(retx_key(RetxKind::kMapUla, ack.imsi));
+    MsContext* ctx = self.context(ack.imsi);
+    if (ctx == nullptr || ctx->step != Step::kUla) return;
+    if (!ack.success) {
+      self.reject_registration(*ctx, ack.cause);
+      return;
+    }
+    ctx->tmsi = ack.new_tmsi;
+    ctx->msisdn = ack.msisdn;
+    ctx->step = Step::kSubstrate;
+    self.on_registration_substrate(*ctx);
+  })
+  .on([](MscBase& self, const MapSendInfoForOutgoingCallAck& ack) {
+    self.retx_.ack(retx_key(RetxKind::kMapOutCall, ack.imsi));
+    MsContext* ctx = self.context(ack.imsi);
+    if (ctx == nullptr || ctx->step != Step::kAuthorize) return;
+    if (!ack.success) {
+      if (ack.cause == 1) {
+        // "Unidentified subscriber": the VLR lost its visitor record — a
+        // VLR restart while we still believed the MS registered.  GSM
+        // 04.08 recovery: reject the MM connection with cause #4 so the
+        // MS deletes its TMSI and re-runs the location update.
+        ctx->registered = false;
+        self.disarm_procedure_guard(*ctx);
+        self.call_index_.erase(ctx->call_ref);
+        ctx->proc = Proc::kNone;
+        ctx->step = Step::kNone;
+        ctx->call_ref = CallRef{};
+        auto rej = pool_message<ACmServiceReject>();
+        rej->imsi = ctx->imsi;
+        rej->cause = 4;  // IMSI unknown in VLR
+        self.send(ctx->bsc, std::move(rej));
+        return;
+      }
+      self.reject_mo_call(*ctx, ClearCause::kCallRejected);
+      return;
+    }
+    // Call proceeding + traffic channel toward the MS, then let the
+    // subclass route the far-end leg.
+    auto proceed = pool_message<ACallProceeding>();
+    proceed->imsi = ctx->imsi;
+    proceed->call_ref = ctx->call_ref;
+    self.send(ctx->bsc, std::move(proceed));
+    auto assign = pool_message<AAssignmentRequest>();
+    assign->imsi = ctx->imsi;
+    assign->call_ref = ctx->call_ref;
+    self.send(ctx->bsc, std::move(assign));
+    ctx->step = Step::kMoProgress;
+    self.route_mo_call(*ctx);
+  })
+
+  // A interface.
+  .on([](MscBase& self, const AImsiDetach& detach) {
+    self.remove_subscriber(detach.imsi);
+  })
+  .on([](MscBase& self, const MapCancelLocation& cancel) {
+    self.remove_subscriber(cancel.imsi);
+  })
+  .on([](MscBase& self, const ALocationUpdate& lu, const Envelope& env) {
+    MsContext& ctx = self.contexts_[lu.imsi];
+    ctx.imsi = lu.imsi;
+    ctx.lai = lu.lai;
+    ctx.cell = lu.cell;
+    ctx.bsc = env.from;
+    ctx.proc = Proc::kRegister;
+    self.arm_procedure_guard(ctx);
+    if (self.config_.authenticate_registration) {
+      self.begin_auth(ctx);
+    } else {
+      self.send_ula(ctx);
+    }
+  })
+  .on([](MscBase& self, const AAuthResponse& rsp) {
+    MsContext* ctx = self.context(rsp.imsi);
+    if (ctx == nullptr || ctx->step != Step::kAuthChallenge) return;
+    if (!ctx->has_triplet || rsp.sres != ctx->triplet.sres) {
+      VG_WARN("msc", self.name() << ": authentication failure for "
+                                 << rsp.imsi.to_string());
+      if (ctx->proc == Proc::kRegister) {
+        self.reject_registration(*ctx, 6);
+      } else {
+        auto rej = pool_message<ACmServiceReject>();
+        rej->imsi = ctx->imsi;
+        rej->cause = 6;
+        self.send(ctx->bsc, std::move(rej));
+        ctx->proc = Proc::kNone;
+        ctx->step = Step::kNone;
+      }
+      return;
+    }
+    if (self.config_.ciphering) {
       ctx->step = Step::kCipher;
       auto cmd = pool_message<ACipherModeCommand>();
       cmd->imsi = ctx->imsi;
       cmd->algorithm = 1;
-      send(ctx->bsc, std::move(cmd));
+      self.send(ctx->bsc, std::move(cmd));
     } else {
-      continue_after_security(*ctx);
+      self.continue_after_security(*ctx);
     }
-    return;
-  }
-
-  if (const auto* done = dynamic_cast<const ACipherModeComplete*>(&msg)) {
-    MsContext* ctx = context(done->imsi);
+  })
+  .on([](MscBase& self, const ACipherModeComplete& done) {
+    MsContext* ctx = self.context(done.imsi);
     if (ctx == nullptr || ctx->step != Step::kCipher) return;
-    continue_after_security(*ctx);
-    return;
-  }
-
-  if (const auto* req = dynamic_cast<const ACmServiceRequest*>(&msg)) {
-    MsContext* ctx = context(req->imsi);
+    self.continue_after_security(*ctx);
+  })
+  .on([](MscBase& self, const ACmServiceRequest& req, const Envelope& env) {
+    MsContext* ctx = self.context(req.imsi);
     if (ctx == nullptr || !ctx->registered || ctx->proc != Proc::kNone) {
       auto rej = pool_message<ACmServiceReject>();
-      rej->imsi = req->imsi;
+      rej->imsi = req.imsi;
       rej->cause = ctx == nullptr || !ctx->registered ? 4 : 17;
-      send(env.from, std::move(rej));
+      self.send(env.from, std::move(rej));
       return;
     }
     ctx->bsc = env.from;
     ctx->proc = Proc::kMoCall;
-    arm_procedure_guard(*ctx);
-    if (config_.authenticate_calls) {
-      begin_auth(*ctx);
+    self.arm_procedure_guard(*ctx);
+    if (self.config_.authenticate_calls) {
+      self.begin_auth(*ctx);
     } else {
-      continue_after_security(*ctx);
+      self.continue_after_security(*ctx);
     }
-    return;
-  }
-
-  if (const auto* setup = dynamic_cast<const ASetup*>(&msg)) {
-    MsContext* ctx = context(setup->imsi);
+  })
+  .on([](MscBase& self, const ASetup& setup, const Envelope& env) {
+    MsContext* ctx = self.context(setup.imsi);
     if (ctx == nullptr || !ctx->registered) {
       // A Setup for a subscriber this switch has no registered context
       // for: the switch restarted after accepting the CM service request.
       // Cause #4 pushes the MS to delete its TMSI and re-register.
       auto rej = pool_message<ACmServiceReject>();
-      rej->imsi = setup->imsi;
+      rej->imsi = setup.imsi;
       rej->cause = 4;  // IMSI unknown in VLR
-      send(env.from, std::move(rej));
+      self.send(env.from, std::move(rej));
       return;
     }
     if (ctx->step != Step::kAwaitSetup) return;
-    ctx->call_ref = setup->call_ref;
-    ctx->calling = setup->calling;
-    ctx->called = setup->called;
-    call_index_[setup->call_ref] = setup->imsi;
+    ctx->call_ref = setup.call_ref;
+    ctx->calling = setup.calling;
+    ctx->called = setup.called;
+    self.call_index_[setup.call_ref] = setup.imsi;
     ctx->step = Step::kAuthorize;
     auto q = pool_message<MapSendInfoForOutgoingCall>();
-    q->imsi = setup->imsi;
-    q->called = setup->called;
-    send(vlr(), std::move(q));
-    arm_request(RetxKind::kMapOutCall, setup->imsi,
-                [this, imsi = setup->imsi] {
-                  MsContext* c = context(imsi);
+    q->imsi = setup.imsi;
+    q->called = setup.called;
+    self.send(self.vlr(), std::move(q));
+    self.arm_request(RetxKind::kMapOutCall, setup.imsi,
+                     [&self, imsi = setup.imsi] {
+                  MsContext* c = self.context(imsi);
                   if (c == nullptr || c->step != Step::kAuthorize) return;
                   auto again = pool_message<MapSendInfoForOutgoingCall>();
                   again->imsi = imsi;
                   again->called = c->called;
-                  send(vlr(), std::move(again));
+                  self.send(self.vlr(), std::move(again));
                 });
-    return;
-  }
-
-  if (const auto* rsp = dynamic_cast<const APagingResponse*>(&msg)) {
-    MsContext* ctx = context(rsp->imsi);
+  })
+  .on([](MscBase& self, const APagingResponse& rsp, const Envelope& env) {
+    MsContext* ctx = self.context(rsp.imsi);
     if (ctx == nullptr || ctx->step != Step::kPaging) return;
-    ctx->cell = rsp->cell;
+    ctx->cell = rsp.cell;
     ctx->bsc = env.from;
-    if (config_.authenticate_calls) {
-      begin_auth(*ctx);
+    if (self.config_.authenticate_calls) {
+      self.begin_auth(*ctx);
     } else {
-      continue_after_security(*ctx);
+      self.continue_after_security(*ctx);
     }
-    return;
-  }
-
-  if (const auto* alert = dynamic_cast<const AAlerting*>(&msg)) {
-    MsContext* ctx = context(alert->imsi);
+  })
+  .on([](MscBase& self, const AAlerting& alert, const Envelope& env) {
+    if (self.relay_handed_in(alert.imsi, env)) return;
+    MsContext* ctx = self.context(alert.imsi);
     if (ctx == nullptr || ctx->proc != Proc::kMtCall ||
         ctx->step != Step::kAwaitAlert) {
       return;
     }
     ctx->step = Step::kAwaitAnswer;
-    on_mt_alerting(*ctx);
-    return;
-  }
-
-  if (const auto* conn = dynamic_cast<const AConnect*>(&msg)) {
-    MsContext* ctx = context(conn->imsi);
+    self.on_mt_alerting(*ctx);
+  })
+  .on([](MscBase& self, const AConnect& conn, const Envelope& env) {
+    if (self.relay_handed_in(conn.imsi, env)) return;
+    MsContext* ctx = self.context(conn.imsi);
     if (ctx == nullptr || ctx->proc != Proc::kMtCall ||
         ctx->step != Step::kAwaitAnswer) {
       return;
@@ -733,33 +702,32 @@ void MscBase::handle_a_message(const Envelope& env) {
     auto ack = pool_message<AConnectAck>();
     ack->imsi = ctx->imsi;
     ack->call_ref = ctx->call_ref;
-    send(downlink(*ctx), std::move(ack));
-    disarm_procedure_guard(*ctx);
-    net().spans().close(SpanKind::kTermination, ctx->imsi.value(),
-                        SpanOutcome::kOk, now());
-    ++net().metrics().counter(name() + "/mt_calls_connected");
+    self.send(self.downlink(*ctx), std::move(ack));
+    self.disarm_procedure_guard(*ctx);
+    self.net().spans().close(SpanKind::kTermination, ctx->imsi.value(),
+                             SpanOutcome::kOk, self.now());
+    ++self.net().metrics().counter(self.name() + "/mt_calls_connected");
     ctx->step = Step::kActive;
-    on_mt_connected(*ctx);
-    return;
-  }
-
-  if (dynamic_cast<const AConnectAck*>(&msg) != nullptr) {
-    return;  // MO answer acknowledgement; nothing to do
-  }
-  if (dynamic_cast<const AAssignmentComplete*>(&msg) != nullptr) {
-    return;  // TCH in place
-  }
-
-  if (const auto* disc = dynamic_cast<const ADisconnect*>(&msg)) {
-    MsContext* ctx = context(disc->imsi);
+    self.on_mt_connected(*ctx);
+  })
+  .on([](MscBase& self, const AConnectAck& ack, const Envelope& env) {
+    if (self.relay_handed_in(ack.imsi, env)) return;
+    // MO answer acknowledgement; nothing to do
+  })
+  .on([](MscBase&, const AAssignmentComplete&) {
+    // TCH in place
+  })
+  .on([](MscBase& self, const ADisconnect& disc, const Envelope& env) {
+    if (self.relay_handed_in(disc.imsi, env)) return;
+    MsContext* ctx = self.context(disc.imsi);
     if (ctx == nullptr || ctx->proc == Proc::kNone) {
       // No call state — either already cleared or this MSC restarted and
       // lost it.  Answer the clearing anyway so the MS's release completes
       // instead of retrying into silence.
       auto rel = pool_message<ARelease>();
-      rel->imsi = disc->imsi;
-      rel->call_ref = disc->call_ref;
-      send(env.from, std::move(rel));
+      rel->imsi = disc.imsi;
+      rel->call_ref = disc.call_ref;
+      self.send(env.from, std::move(rel));
       return;
     }
     if (ctx->step == Step::kReleasingMs || ctx->step == Step::kReleasingNet ||
@@ -768,129 +736,81 @@ void MscBase::handle_a_message(const Envelope& env) {
     }
     if (ctx->proc == Proc::kMtCall && ctx->step != Step::kActive) {
       // The far end abandoned while we were still delivering the call.
-      net().spans().close(SpanKind::kTermination, ctx->imsi.value(),
-                          SpanOutcome::kRejected, now());
+      self.net().spans().close(SpanKind::kTermination, ctx->imsi.value(),
+                               SpanOutcome::kRejected, self.now());
     }
-    arm_procedure_guard(*ctx);
+    self.arm_procedure_guard(*ctx);
     ctx->step = Step::kReleasingMs;
-    on_ms_disconnect(*ctx, disc->cause);
-    return;
-  }
-
-  if (const auto* rel = dynamic_cast<const ARelease*>(&msg)) {
-    MsContext* ctx = context(rel->imsi);
+    self.on_ms_disconnect(*ctx, disc.cause);
+  })
+  .on([](MscBase& self, const ARelease& rel, const Envelope& env) {
+    if (self.relay_handed_in(rel.imsi, env)) return;
+    MsContext* ctx = self.context(rel.imsi);
     if (ctx == nullptr || ctx->step != Step::kReleasingNet) return;
     auto done = pool_message<AReleaseComplete>();
     done->imsi = ctx->imsi;
     done->call_ref = ctx->call_ref;
-    send(downlink(*ctx), std::move(done));
-    clear_radio(*ctx);
-    return;
-  }
-
-  if (const auto* done = dynamic_cast<const AReleaseComplete*>(&msg)) {
-    MsContext* ctx = context(done->imsi);
+    self.send(self.downlink(*ctx), std::move(done));
+    self.clear_radio(*ctx);
+  })
+  .on([](MscBase& self, const AReleaseComplete& done, const Envelope& env) {
+    if (self.relay_handed_in(done.imsi, env)) return;
+    MsContext* ctx = self.context(done.imsi);
     if (ctx == nullptr || ctx->step != Step::kReleasingMs) return;
-    clear_radio(*ctx);
-    return;
-  }
-
-  if (const auto* done = dynamic_cast<const AClearComplete*>(&msg)) {
-    MsContext* ctx = context(done->imsi);
+    self.clear_radio(*ctx);
+  })
+  .on([](MscBase& self, const AClearComplete& done, const Envelope& env) {
+    if (self.relay_handed_in(done.imsi, env)) return;
+    MsContext* ctx = self.context(done.imsi);
     if (ctx == nullptr) return;
     if (ctx->step != Step::kClearing) {
       return;  // clearing of pre-handoff radio resources; call still active
     }
-    disarm_procedure_guard(*ctx);
-    call_index_.erase(ctx->call_ref);
+    self.disarm_procedure_guard(*ctx);
+    self.call_index_.erase(ctx->call_ref);
     MsContext snapshot = *ctx;
     ctx->proc = Proc::kNone;
     ctx->step = Step::kNone;
     ctx->call_ref = CallRef{};
     ctx->handed_off = false;
-    on_call_cleared(snapshot);
-    return;
-  }
-
-  if (const auto* vf = dynamic_cast<const AVoiceFrame*>(&msg)) {
-    MsContext* ctx = context(vf->imsi);
-    if (ctx != nullptr) on_uplink_voice(*ctx, *vf);
-    return;
-  }
-  if (const auto* vf = dynamic_cast<const ETrunkVoice*>(&msg)) {
-    MsContext* ctx = context(vf->imsi);
-    if (ctx != nullptr) on_uplink_voice(*ctx, *vf);
-    return;
-  }
-
-  VG_WARN("msc", name() << ": unhandled " << msg.name());
+    self.on_call_cleared(snapshot);
+  })
+  // Voice for a handed-in context crosses the inter-MSC trunk (target role);
+  // otherwise it is uplink voice anchored here.
+  .on([](MscBase& self, const AVoiceFrame& vf) {
+    MsContext* ctx = self.context(vf.imsi);
+    if (ctx == nullptr) return;
+    if (ctx->handed_in) {
+      auto out = pool_message<ETrunkVoice>();
+      static_cast<VoiceFrameInfo&>(*out) = vf;
+      self.send(ctx->remote_msc, std::move(out));
+      return;
+    }
+    self.on_uplink_voice(*ctx, vf);
+  })
+  .on([](MscBase& self, const ETrunkVoice& vf) {
+    MsContext* ctx = self.context(vf.imsi);
+    if (ctx == nullptr) return;
+    if (ctx->handed_in) {
+      auto out = pool_message<AVoiceFrame>();
+      static_cast<VoiceFrameInfo&>(*out) = vf;
+      self.send(ctx->bsc, std::move(out));
+      return;
+    }
+    self.on_uplink_voice(*ctx, vf);
+  })
+  .on([](MscBase& self, const AClearCommand& clear, const Envelope& env) {
+    if (!self.relay_handed_in(clear.imsi, env)) self.unhandled(clear);
+  });
+  return table;
 }
-
-// --- target-MSC relay for handed-in contexts -----------------------------------
-
-namespace {
-/// Extracts the IMSI from any GSM payload-bearing message we relay.
-template <typename... Ts>
-struct ImsiExtractor;
-
-template <typename T, typename... Rest>
-struct ImsiExtractor<T, Rest...> {
-  static const Imsi* get(const Message& msg) {
-    if (const auto* m = dynamic_cast<const T*>(&msg)) return &m->imsi;
-    return ImsiExtractor<Rest...>::get(msg);
-  }
-};
-
-template <>
-struct ImsiExtractor<> {
-  static const Imsi* get(const Message&) { return nullptr; }
-};
-
-const Imsi* relayable_imsi(const Message& msg) {
-  return ImsiExtractor<ADisconnect, ARelease, AReleaseComplete, AClearCommand,
-                       AClearComplete, AAlerting, AConnect,
-                       AConnectAck>::get(msg);
-}
-}  // namespace
 
 void MscBase::on_message(const Envelope& env) {
-  if (handle_handover(env)) return;
+  if (!handlers_.dispatch(*this, *env.msg, env)) unhandled(*env.msg);
+}
 
-  // Target-MSC role after inter-system handoff: relay call control and
-  // voice between the anchor MSC and our BSS.
-  if (const auto* imsi = relayable_imsi(*env.msg)) {
-    MsContext* ctx = context(*imsi);
-    if (ctx != nullptr && ctx->handed_in) {
-      if (env.from == ctx->remote_msc) {
-        send(ctx->bsc, MessagePtr(env.msg->clone()));
-      } else {
-        send(ctx->remote_msc, MessagePtr(env.msg->clone()));
-      }
-      return;
-    }
-  }
-  if (const auto* vf = dynamic_cast<const AVoiceFrame*>(env.msg.get())) {
-    MsContext* ctx = context(vf->imsi);
-    if (ctx != nullptr && ctx->handed_in) {
-      auto out = pool_message<ETrunkVoice>();
-      static_cast<VoiceFrameInfo&>(*out) = *vf;
-      send(ctx->remote_msc, std::move(out));
-      return;
-    }
-  }
-  if (const auto* vf = dynamic_cast<const ETrunkVoice*>(env.msg.get())) {
-    MsContext* ctx = context(vf->imsi);
-    if (ctx != nullptr && ctx->handed_in) {
-      auto out = pool_message<AVoiceFrame>();
-      static_cast<VoiceFrameInfo&>(*out) = *vf;
-      send(ctx->bsc, std::move(out));
-      return;
-    }
-  }
-
-  if (handle_map_message(env)) return;
-  if (on_unhandled(env)) return;
-  handle_a_message(env);
+void MscBase::unhandled(const Message& msg) {
+  VG_WARN("msc", name() << ": unhandled " << msg.name());
 }
 
 }  // namespace vgprs

@@ -102,8 +102,16 @@ class MscBase : public Node {
     std::uint64_t handoff_epoch = 0;  // invalidates handoff guards
   };
 
-  MscBase(std::string name, Config config)
-      : Node(std::move(name)), config_(std::move(config)) {
+  using Handlers = NodeHandlers<MscBase>;
+  /// Wire type -> handler for everything MscBase itself handles.  A
+  /// subclass passes this table extended with its own protocols.
+  static const Handlers& handler_table();
+
+  MscBase(std::string name, Config config,
+          const Handlers& handlers = handler_table())
+      : Node(std::move(name)),
+        config_(std::move(config)),
+        handlers_(handlers) {
     retx_.set_policy(config_.retransmit);
   }
 
@@ -160,12 +168,6 @@ class MscBase : public Node {
   virtual void on_uplink_voice(MsContext& ctx, const VoiceFrameInfo& frame) {
     (void)ctx;
     (void)frame;
-  }
-  /// A message no MscBase procedure recognises; subclass protocols
-  /// (ISUP, GPRS, H.323) handle it.  Return true if consumed.
-  virtual bool on_unhandled(const Envelope& env) {
-    (void)env;
-    return false;
   }
 
   // --- helpers for subclasses ------------------------------------------------
@@ -244,12 +246,15 @@ class MscBase : public Node {
   void begin_auth(MsContext& ctx);
   void continue_after_security(MsContext& ctx);
   void send_ula(MsContext& ctx);
-  void handle_a_message(const Envelope& env);
-  bool handle_map_message(const Envelope& env);
-  bool handle_handover(const Envelope& env);
   void clear_radio(MsContext& ctx);
+  /// Target role after inter-system handoff: relays call control for a
+  /// handed-in context between the anchor MSC and our BSS.  Runs before
+  /// the normal handling of every message it applies to.
+  bool relay_handed_in(Imsi imsi, const Envelope& env);
+  void unhandled(const Message& msg);
 
   Config config_;
+  const Handlers& handlers_;
   Retransmitter retx_{*this};
   // Subscriber-proportional state lives in pooled slab tables; the cell
   // provisioning maps stay plain (small, configuration-time only).

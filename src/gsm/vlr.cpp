@@ -27,151 +27,137 @@ void Vlr::reply_auth_info(NodeId to, Imsi imsi) {
   send(to, std::move(ack));
 }
 
-void Vlr::on_message(const Envelope& env) {
-  const Message& msg = *env.msg;
-
+const Vlr::Handlers& Vlr::handler_table() {
+  static const Handlers table = Handlers{}
   // (V)MSC asks for an authentication vector.
-  if (const auto* req = dynamic_cast<const MapSendAuthInfo*>(&msg)) {
-    auto& rec = records_[req->imsi];
+  .on([](Vlr& self, const MapSendAuthInfo& req, const Envelope& env) {
+    auto& rec = self.records_[req.imsi];
     if (!rec.triplets.empty()) {
-      reply_auth_info(env.from, req->imsi);
+      self.reply_auth_info(env.from, req.imsi);
     } else {
-      pending_auth_[req->imsi] = env.from;
+      self.pending_auth_[req.imsi] = env.from;
       auto fwd = pool_message<MapSendAuthInfo>();
-      fwd->imsi = req->imsi;
-      send(hlr(), std::move(fwd));
+      fwd->imsi = req.imsi;
+      self.send(self.hlr(), std::move(fwd));
     }
-    return;
-  }
-
+  })
   // HLR returns authentication vectors.
-  if (const auto* ack = dynamic_cast<const MapSendAuthInfoAck*>(&msg)) {
-    auto& rec = records_[ack->imsi];
-    for (const auto& t : ack->triplets) rec.triplets.push_back(t);
-    if (const NodeId* req = pending_auth_.find(ack->imsi); req != nullptr) {
+  .on([](Vlr& self, const MapSendAuthInfoAck& ack) {
+    auto& rec = self.records_[ack.imsi];
+    for (const auto& t : ack.triplets) rec.triplets.push_back(t);
+    if (const NodeId* req = self.pending_auth_.find(ack.imsi); req != nullptr) {
       NodeId requester = *req;
-      pending_auth_.erase(ack->imsi);
-      reply_auth_info(requester, ack->imsi);
+      self.pending_auth_.erase(ack.imsi);
+      self.reply_auth_info(requester, ack.imsi);
     }
-    return;
-  }
-
+  })
   // (V)MSC registers the subscriber in this VLR's area.
-  if (const auto* ula = dynamic_cast<const MapUpdateLocationArea*>(&msg)) {
-    auto& rec = records_[ula->imsi];
-    rec.lai = ula->lai;
-    rec.msc_name = ula->msc_name;
-    pending_ula_[ula->imsi] = env.from;
+  .on([](Vlr& self, const MapUpdateLocationArea& ula, const Envelope& env) {
+    auto& rec = self.records_[ula.imsi];
+    rec.lai = ula.lai;
+    rec.msc_name = ula.msc_name;
+    self.pending_ula_[ula.imsi] = env.from;
     auto ul = pool_message<MapUpdateLocation>();
-    ul->imsi = ula->imsi;
-    ul->vlr_name = name();
-    ul->msc_name = ula->msc_name;
-    send(hlr(), std::move(ul));
-    return;
-  }
-
+    ul->imsi = ula.imsi;
+    ul->vlr_name = self.name();
+    ul->msc_name = ula.msc_name;
+    self.send(self.hlr(), std::move(ul));
+  })
   // HLR pushes the subscription profile during location updating.
-  if (const auto* isd = dynamic_cast<const MapInsertSubsData*>(&msg)) {
-    auto& rec = records_[isd->imsi];
-    rec.profile = isd->profile;
+  .on([](Vlr& self, const MapInsertSubsData& isd, const Envelope& env) {
+    auto& rec = self.records_[isd.imsi];
+    rec.profile = isd.profile;
     rec.profile_valid = true;
     auto ack = pool_message<MapInsertSubsDataAck>();
-    ack->imsi = isd->imsi;
-    send(env.from, std::move(ack));
-    return;
-  }
-
-  if (const auto* ul_ack = dynamic_cast<const MapUpdateLocationAck*>(&msg)) {
-    const NodeId* pending = pending_ula_.find(ul_ack->imsi);
+    ack->imsi = isd.imsi;
+    self.send(env.from, std::move(ack));
+  })
+  .on([](Vlr& self, const MapUpdateLocationAck& ul_ack) {
+    const NodeId* pending = self.pending_ula_.find(ul_ack.imsi);
     if (pending == nullptr) return;
     NodeId requester = *pending;
-    pending_ula_.erase(ul_ack->imsi);
-    auto& rec = records_[ul_ack->imsi];
+    self.pending_ula_.erase(ul_ack.imsi);
+    auto& rec = self.records_[ul_ack.imsi];
     auto ack = pool_message<MapUpdateLocationAreaAck>();
-    ack->imsi = ul_ack->imsi;
-    ack->success = ul_ack->success;
-    ack->cause = ul_ack->cause;
-    if (ul_ack->success) {
+    ack->imsi = ul_ack.imsi;
+    ack->success = ul_ack.success;
+    ack->cause = ul_ack.cause;
+    if (ul_ack.success) {
       rec.registered = true;
-      rec.tmsi = Tmsi(next_tmsi_++);
+      rec.tmsi = Tmsi(self.next_tmsi_++);
       ack->new_tmsi = rec.tmsi;
       if (rec.profile_valid) ack->msisdn = rec.profile.msisdn;
     }
-    send(requester, std::move(ack));
-    return;
-  }
-
+    self.send(requester, std::move(ack));
+  })
   // Outgoing-call authorization (paper step 2.2).
-  if (const auto* ocall =
-          dynamic_cast<const MapSendInfoForOutgoingCall*>(&msg)) {
+  .on([](Vlr& self, const MapSendInfoForOutgoingCall& ocall,
+         const Envelope& env) {
     auto ack = pool_message<MapSendInfoForOutgoingCallAck>();
-    ack->imsi = ocall->imsi;
-    const VisitorRecord* rec = records_.find(ocall->imsi);
+    ack->imsi = ocall.imsi;
+    const VisitorRecord* rec = self.records_.find(ocall.imsi);
     if (rec == nullptr || !rec->registered || !rec->profile_valid) {
       ack->success = false;
       ack->cause = 1;  // unidentified subscriber
-    } else if (config_.country_code != 0 &&
-               ocall->called.country_code() != config_.country_code &&
+    } else if (self.config_.country_code != 0 &&
+               ocall.called.country_code() != self.config_.country_code &&
                !rec->profile.international_calls_allowed) {
       ack->success = false;
       ack->cause = 2;  // international calls barred
     } else {
       ack->success = true;
     }
-    send(env.from, std::move(ack));
-    return;
-  }
-
+    self.send(env.from, std::move(ack));
+  })
   // HLR requests a roaming number for call delivery.
-  if (const auto* prn = dynamic_cast<const MapProvideRoamingNumber*>(&msg)) {
+  .on([](Vlr& self, const MapProvideRoamingNumber& prn, const Envelope& env) {
     // MSRNs: <prefix> followed by a 5-digit rolling counter.
-    Msrn msrn(config_.msrn_prefix * 100'000 + next_msrn_++);
-    msrn_map_[msrn] = prn->imsi;
+    Msrn msrn(self.config_.msrn_prefix * 100'000 + self.next_msrn_++);
+    self.msrn_map_[msrn] = prn.imsi;
     auto ack = pool_message<MapProvideRoamingNumberAck>();
-    ack->imsi = prn->imsi;
+    ack->imsi = prn.imsi;
     ack->msrn = msrn;
-    send(env.from, std::move(ack));
-    return;
-  }
-
+    self.send(env.from, std::move(ack));
+  })
   // Serving MSC resolves an MSRN from an incoming IAM.
-  if (const auto* icall =
-          dynamic_cast<const MapSendInfoForIncomingCall*>(&msg)) {
+  .on([](Vlr& self, const MapSendInfoForIncomingCall& icall,
+         const Envelope& env) {
     auto ack = pool_message<MapSendInfoForIncomingCallAck>();
-    ack->msrn = icall->msrn;
-    if (const Imsi* imsi = msrn_map_.find(icall->msrn); imsi != nullptr) {
+    ack->msrn = icall.msrn;
+    if (const Imsi* imsi = self.msrn_map_.find(icall.msrn); imsi != nullptr) {
       ack->imsi = *imsi;
       ack->found = true;
-      const VisitorRecord* rec = records_.find(*imsi);
+      const VisitorRecord* rec = self.records_.find(*imsi);
       if (rec != nullptr && rec->profile_valid) {
         ack->msisdn = rec->profile.msisdn;
       }
-      msrn_map_.erase(icall->msrn);  // MSRNs are single-use
+      self.msrn_map_.erase(icall.msrn);  // MSRNs are single-use
     }
-    send(env.from, std::move(ack));
-    return;
-  }
-
-  if (const auto* cancel = dynamic_cast<const MapCancelLocation*>(&msg)) {
+    self.send(env.from, std::move(ack));
+  })
+  .on([](Vlr& self, const MapCancelLocation& cancel, const Envelope& env) {
     // Propagate the cancellation to the serving (V)MSC so it can purge its
     // MS table (and, for a VMSC, detach from GPRS and unregister at the
     // gatekeeper).
-    const VisitorRecord* rec = records_.find(cancel->imsi);
+    const VisitorRecord* rec = self.records_.find(cancel.imsi);
     if (rec != nullptr && !rec->msc_name.empty()) {
-      if (Node* msc = net().node_by_name(rec->msc_name)) {
+      if (Node* msc = self.net().node_by_name(rec->msc_name)) {
         auto fwd = pool_message<MapCancelLocation>();
-        fwd->imsi = cancel->imsi;
-        send(msc->id(), std::move(fwd));
+        fwd->imsi = cancel.imsi;
+        self.send(msc->id(), std::move(fwd));
       }
     }
-    records_.erase(cancel->imsi);
+    self.records_.erase(cancel.imsi);
     auto ack = pool_message<MapCancelLocationAck>();
-    ack->imsi = cancel->imsi;
-    send(env.from, std::move(ack));
-    return;
-  }
+    ack->imsi = cancel.imsi;
+    self.send(env.from, std::move(ack));
+  });
+  return table;
+}
 
-  VG_WARN("vlr", name() << ": unhandled " << msg.name());
+void Vlr::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
+  VG_WARN("vlr", name() << ": unhandled " << env.msg->name());
 }
 
 }  // namespace vgprs

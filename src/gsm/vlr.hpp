@@ -39,6 +39,10 @@ class Vlr final : public Node {
   [[nodiscard]] const VisitorRecord* visitor(Imsi imsi) const;
   [[nodiscard]] std::size_t visitor_count() const { return records_.size(); }
 
+  using Handlers = NodeHandlers<Vlr>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
   /// VLR restart: the visitor cache, roaming-number map and in-flight MAP
   /// request state are volatile.  The allocation counters keep advancing so

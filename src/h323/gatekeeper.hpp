@@ -6,7 +6,9 @@
 // overrides handle_unknown_alias with HLR/GGSN access).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,14 +37,22 @@ class Gatekeeper : public IpEndpoint {
     bool open = true;
   };
 
+  /// Charging records kept, newest last: the log holds the most recent
+  /// kCallLogCapacity admitted calls, so its memory does not grow with the
+  /// length of a run.
+  static constexpr std::size_t kCallLogCapacity = std::size_t{1} << 16;
+
+  /// RAS, by inner wire type.
+  static const IpHandlers& ip_table();
+
   Gatekeeper(std::string name, IpAddress ip, std::string router_name)
-      : IpEndpoint(std::move(name), ip, std::move(router_name)) {}
+      : IpEndpoint(std::move(name), ip, std::move(router_name), ip_table()) {}
 
   [[nodiscard]] std::size_t registration_count() const {
     return table_.size();
   }
   [[nodiscard]] std::optional<Registration> find_alias(Msisdn alias) const;
-  [[nodiscard]] const std::vector<CallRecord>& call_records() const {
+  [[nodiscard]] const std::deque<CallRecord>& call_records() const {
     return records_;
   }
   [[nodiscard]] std::uint64_t admissions() const { return admissions_; }
@@ -65,7 +75,14 @@ class Gatekeeper : public IpEndpoint {
   }
 
  protected:
-  void on_ip(const IpDatagramInfo& dgram, const Message& inner) override;
+  /// For a gatekeeper that extends the tables.
+  Gatekeeper(std::string name, IpAddress ip, std::string router_name,
+             const IpHandlers& ip_handlers, const Handlers& handlers)
+      : IpEndpoint(std::move(name), ip, std::move(router_name), ip_handlers,
+                   handlers) {}
+
+  void on_other_ip(const IpDatagramInfo& dgram,
+                   const Message& inner) override;
 
   /// ARQ for an alias absent from the translation table.  The standard
   /// gatekeeper rejects; the TR 23.821 variant resolves via HLR + GGSN.
@@ -92,11 +109,12 @@ class Gatekeeper : public IpEndpoint {
   }
 
   SubscriberTable<Msisdn, Registration> table_;
-  // Charging log, append-only; open calls are indexed by call_ref so DRQ
-  // handling and zone-capacity checks never rescan the whole call history
-  // (the log grows with every completed call).
-  std::vector<CallRecord> records_;
-  SubscriberTable<std::uint32_t, std::uint32_t> open_index_;  // -> records_ ix
+  // Charging log, bounded; open calls are indexed by call_ref so DRQ
+  // handling and zone-capacity checks never rescan the call history.
+  std::deque<CallRecord> records_;
+  std::uint32_t records_dropped_ = 0;  // evicted from the front so far
+  // call_ref -> admission number (records_ index + records_dropped_)
+  SubscriberTable<std::uint32_t, std::uint32_t> open_index_;
   std::uint32_t next_endpoint_id_ = 1;
   std::uint64_t admissions_ = 0;
   std::uint64_t rejections_ = 0;

@@ -30,8 +30,14 @@ class H323Gateway : public IpEndpoint {
     std::string fallback_pstn_name;  // where ARJ'd calls are re-routed
   };
 
+  /// IpEndpoint's table extended with the PSTN side (ISUP trunk).
+  static const Handlers& handler_table();
+  /// RAS, Q.931 and RTP, by inner wire type.
+  static const IpHandlers& ip_table();
+
   H323Gateway(std::string name, Config config)
-      : IpEndpoint(std::move(name), config.ip, config.router_name),
+      : IpEndpoint(std::move(name), config.ip, config.router_name, ip_table(),
+                   handler_table()),
         config_(std::move(config)) {}
 
   /// Registers the gateway endpoint with the gatekeeper.
@@ -45,10 +51,9 @@ class H323Gateway : public IpEndpoint {
     return fallback_calls_;
   }
 
-  void on_message_unused();  // silences unused warnings in some builds
-
  protected:
-  void on_ip(const IpDatagramInfo& dgram, const Message& inner) override;
+  void on_other_ip(const IpDatagramInfo& dgram,
+                   const Message& inner) override;
   void on_other(const Envelope& env) override;
 
  private:

@@ -20,20 +20,25 @@ void IpEndpoint::on_other(const Envelope& env) {
   VG_WARN("ip-endpoint", name() << ": unexpected " << env.msg->name());
 }
 
+const IpEndpoint::Handlers& IpEndpoint::handler_table() {
+  static const Handlers table = Handlers{}
+  .on([](IpEndpoint& self, const IpDatagram& dgram) {
+    auto inner = ip_payload(dgram);
+    if (!inner.ok()) {
+      VG_WARN("ip-endpoint", self.name() << ": undecodable payload from "
+                                         << dgram.src.to_string() << ": "
+                                         << inner.error().to_string());
+      return;
+    }
+    if (!self.ip_handlers_.dispatch(self, *inner.value(), dgram)) {
+      self.on_other_ip(dgram, *inner.value());
+    }
+  });
+  return table;
+}
+
 void IpEndpoint::on_message(const Envelope& env) {
-  const auto* dgram = dynamic_cast<const IpDatagram*>(env.msg.get());
-  if (dgram == nullptr) {
-    on_other(env);
-    return;
-  }
-  auto inner = ip_payload(*dgram);
-  if (!inner.ok()) {
-    VG_WARN("ip-endpoint", name() << ": undecodable payload from "
-                                  << dgram->src.to_string() << ": "
-                                  << inner.error().to_string());
-    return;
-  }
-  on_ip(*dgram, *inner.value());
+  if (!handlers_.dispatch(*this, *env.msg, env)) on_other(env);
 }
 
 }  // namespace vgprs

@@ -13,8 +13,22 @@ namespace vgprs {
 
 class IpEndpoint : public Node {
  public:
-  IpEndpoint(std::string name, IpAddress ip, std::string router_name)
-      : Node(std::move(name)), ip_(ip), router_name_(std::move(router_name)) {}
+  using Handlers = NodeHandlers<IpEndpoint>;
+  /// Handlers of the messages carried in datagrams addressed to us, by
+  /// inner wire type.
+  using IpHandlers = HandlerTable<IpEndpoint, const IpDatagramInfo&>;
+  /// IP_Datagram only; endpoints with a non-IP side (the gateway's ISUP
+  /// trunk, the TR gatekeeper's MAP link) extend it.
+  static const Handlers& handler_table();
+
+  IpEndpoint(std::string name, IpAddress ip, std::string router_name,
+             const IpHandlers& ip_handlers,
+             const Handlers& handlers = handler_table())
+      : Node(std::move(name)),
+        ip_(ip),
+        router_name_(std::move(router_name)),
+        handlers_(handlers),
+        ip_handlers_(ip_handlers) {}
 
   [[nodiscard]] IpAddress ip() const { return ip_; }
 
@@ -26,10 +40,11 @@ class IpEndpoint : public Node {
   /// Encapsulates `inner` into an IP datagram and sends it via the router.
   void send_ip(IpAddress dst, const Message& inner);
 
-  /// A datagram addressed to us arrived; `inner` is its decoded payload.
-  virtual void on_ip(const IpDatagramInfo& dgram, const Message& inner) = 0;
+  /// A datagram carried an inner message the IP table does not list.
+  virtual void on_other_ip(const IpDatagramInfo& dgram,
+                           const Message& inner) = 0;
 
-  /// Non-IP messages (none expected by default).
+  /// A message the node table does not list (none expected by default).
   virtual void on_other(const Envelope& env);
 
  private:
@@ -37,6 +52,8 @@ class IpEndpoint : public Node {
 
   IpAddress ip_;
   std::string router_name_;
+  const Handlers& handlers_;
+  const IpHandlers& ip_handlers_;
 };
 
 }  // namespace vgprs

@@ -154,222 +154,217 @@ void H323Terminal::on_timer(TimerId, std::uint64_t cookie) {
   if (kind == kVoiceKind) send_voice_frame();
 }
 
-void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
-  // --- RAS ---------------------------------------------------------------------
-  if (const auto* rcf = dynamic_cast<const RasRcf*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kRrq));
-    if (state_ != State::kRegistering) return;
-    net().spans().close(SpanKind::kRegistration, config_.alias.value(),
-                        SpanOutcome::kOk, now());
-    endpoint_id_ = rcf->endpoint_id;
-    enter(State::kRegistered);
-    if (on_registered) on_registered();
-    return;
-  }
-  if (const auto* rrj = dynamic_cast<const RasRrj*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kRrq));
-    if (state_ == State::kRegistering) {
-      net().spans().close(SpanKind::kRegistration, config_.alias.value(),
-                          SpanOutcome::kRejected, now());
-      enter(State::kIdle);
-      if (on_failure) {
-        on_failure("registration rejected, cause " +
-                   std::to_string(rrj->cause));
+void H323Terminal::on_other_ip(const IpDatagramInfo& dgram,
+                               const Message& inner) {
+  VG_DEBUG("h323", name() << ": ignoring " << inner.name() << " from "
+                          << dgram.src.to_string());
+}
+
+const IpEndpoint::IpHandlers& H323Terminal::ip_table() {
+  static const IpHandlers table = IpHandlers{}
+  .on([](H323Terminal& self, const RasRcf& rcf) {
+    self.retx_.ack(retx_key(RetxKind::kRrq));
+    if (self.state_ != State::kRegistering) return;
+    self.net().spans().close(SpanKind::kRegistration,
+                             self.config_.alias.value(), SpanOutcome::kOk,
+                             self.now());
+    self.endpoint_id_ = rcf.endpoint_id;
+    self.enter(State::kRegistered);
+    if (self.on_registered) self.on_registered();
+  })
+  .on([](H323Terminal& self, const RasRrj& rrj) {
+    self.retx_.ack(retx_key(RetxKind::kRrq));
+    if (self.state_ == State::kRegistering) {
+      self.net().spans().close(SpanKind::kRegistration,
+                               self.config_.alias.value(),
+                               SpanOutcome::kRejected, self.now());
+      self.enter(State::kIdle);
+      if (self.on_failure) {
+        self.on_failure("registration rejected, cause " +
+                        std::to_string(rrj.cause));
       }
     }
-    return;
-  }
-  if (const auto* acf = dynamic_cast<const RasAcf*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kArq));
-    if (state_ == State::kArqSent && acf->call_ref == call_ref_) {
+  })
+  .on([](H323Terminal& self, const RasAcf& acf) {
+    self.retx_.ack(retx_key(RetxKind::kArq));
+    if (self.state_ == State::kArqSent && acf.call_ref == self.call_ref_) {
       // Admission granted for our originating call: send Setup.
-      remote_signal_ = acf->dest_call_signal_address.ip();
-      enter(State::kCalling);
+      self.remote_signal_ = acf.dest_call_signal_address.ip();
+      self.enter(State::kCalling);
       auto setup = pool_message<Q931Setup>();
-      setup->call_ref = call_ref_;
-      setup->calling = config_.alias;
-      setup->called = peer_number_;
+      setup->call_ref = self.call_ref_;
+      setup->calling = self.config_.alias;
+      setup->called = self.peer_number_;
       setup->src_signal_address =
-          TransportAddress(ip(), config_.signal_port);
-      setup->media_address = TransportAddress(ip(), config_.media_port);
-      send_ip(remote_signal_, *setup);
-      retx_.arm(
+          TransportAddress(self.ip(), self.config_.signal_port);
+      setup->media_address = TransportAddress(self.ip(),
+                                              self.config_.media_port);
+      self.send_ip(self.remote_signal_, *setup);
+      self.retx_.arm(
           retx_key(RetxKind::kSetup),
-          [this] {
-            if (state_ != State::kCalling) return;
+          [&self] {
+            if (self.state_ != State::kCalling) return;
             auto again = pool_message<Q931Setup>();
-            again->call_ref = call_ref_;
-            again->calling = config_.alias;
-            again->called = peer_number_;
+            again->call_ref = self.call_ref_;
+            again->calling = self.config_.alias;
+            again->called = self.peer_number_;
             again->src_signal_address =
-                TransportAddress(ip(), config_.signal_port);
+                TransportAddress(self.ip(), self.config_.signal_port);
             again->media_address =
-                TransportAddress(ip(), config_.media_port);
-            send_ip(remote_signal_, *again);
+                TransportAddress(self.ip(), self.config_.media_port);
+            self.send_ip(self.remote_signal_, *again);
           },
-          [this] {
-            if (state_ != State::kCalling) return;
-            net().spans().close(SpanKind::kOrigination, call_ref_.value(),
-                                SpanOutcome::kTimeout, now());
-            release_local(call_ref_);
+          [&self] {
+            if (self.state_ != State::kCalling) return;
+            self.net().spans().close(SpanKind::kOrigination,
+                                     self.call_ref_.value(),
+                                     SpanOutcome::kTimeout, self.now());
+            self.release_local(self.call_ref_);
           });
       return;
     }
-    if (state_ == State::kIncomingArq && acf->call_ref == call_ref_) {
+    if (self.state_ == State::kIncomingArq && acf.call_ref == self.call_ref_) {
       // Admission granted for the call we are answering (paper step 2.5):
       // generate local ringing and alert the caller (step 2.6).
-      enter(State::kRinging);
+      self.enter(State::kRinging);
       auto alert = pool_message<Q931Alerting>();
-      alert->call_ref = call_ref_;
-      send_ip(remote_signal_, *alert);
-      if (on_incoming) on_incoming(call_ref_, peer_number_);
-      if (config_.auto_answer) {
-        set_timer(config_.answer_delay, make_cookie(kAnswerKind, epoch_));
+      alert->call_ref = self.call_ref_;
+      self.send_ip(self.remote_signal_, *alert);
+      if (self.on_incoming) self.on_incoming(self.call_ref_, self.peer_number_);
+      if (self.config_.auto_answer) {
+        self.set_timer(self.config_.answer_delay,
+                       make_cookie(kAnswerKind, self.epoch_));
       }
       return;
     }
-    return;
-  }
-  if (const auto* arj = dynamic_cast<const RasArj*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kArq));
-    if (arj->call_ref != call_ref_) return;
-    if (state_ == State::kArqSent) {
-      net().spans().close(SpanKind::kOrigination, call_ref_.value(),
-                          SpanOutcome::kRejected, now());
-      enter(State::kRegistered);
-      if (on_failure) {
-        on_failure("admission rejected, cause " + std::to_string(arj->cause));
+  })
+  .on([](H323Terminal& self, const RasArj& arj) {
+    self.retx_.ack(retx_key(RetxKind::kArq));
+    if (arj.call_ref != self.call_ref_) return;
+    if (self.state_ == State::kArqSent) {
+      self.net().spans().close(SpanKind::kOrigination, self.call_ref_.value(),
+                               SpanOutcome::kRejected, self.now());
+      self.enter(State::kRegistered);
+      if (self.on_failure) {
+        self.on_failure("admission rejected, cause " +
+                        std::to_string(arj.cause));
       }
-      if (on_released) on_released(arj->call_ref);
+      if (self.on_released) self.on_released(arj.call_ref);
       return;
     }
-    if (state_ == State::kIncomingArq) {
+    if (self.state_ == State::kIncomingArq) {
       // Step 2.5: admission rejected while answering -> release the call.
       auto rel = pool_message<Q931ReleaseComplete>();
-      rel->call_ref = call_ref_;
+      rel->call_ref = self.call_ref_;
       rel->cause = 47;  // resource unavailable
-      send_ip(remote_signal_, *rel);
-      enter(State::kRegistered);
-      if (on_released) on_released(arj->call_ref);
+      self.send_ip(self.remote_signal_, *rel);
+      self.enter(State::kRegistered);
+      if (self.on_released) self.on_released(arj.call_ref);
       return;
     }
-    return;
-  }
-  if (dynamic_cast<const RasDcf*>(&inner) != nullptr) {
-    return;  // disengage confirmed
-  }
-
-  // --- Q.931 --------------------------------------------------------------------
-  if (const auto* setup = dynamic_cast<const Q931Setup*>(&inner)) {
-    if (state_ != State::kRegistered) {
-      if (setup->call_ref == call_ref_ &&
-          setup->src_signal_address.ip() == remote_signal_) {
+  })
+  .on([](H323Terminal&, const RasDcf&) {
+    // disengage confirmed
+  })
+  .on([](H323Terminal& self, const Q931Setup& setup) {
+    if (self.state_ != State::kRegistered) {
+      if (setup.call_ref == self.call_ref_ &&
+          setup.src_signal_address.ip() == self.remote_signal_) {
         // Duplicate Setup for the call we are already handling
         // (retransmission after a lost CallProceeding): re-confirm rather
         // than busy-releasing our own call.
         auto proceed = pool_message<Q931CallProceeding>();
-        proceed->call_ref = call_ref_;
-        send_ip(remote_signal_, *proceed);
+        proceed->call_ref = self.call_ref_;
+        self.send_ip(self.remote_signal_, *proceed);
         return;
       }
       auto rel = pool_message<Q931ReleaseComplete>();
-      rel->call_ref = setup->call_ref;
+      rel->call_ref = setup.call_ref;
       rel->cause = 17;  // busy
-      send_ip(setup->src_signal_address.ip(), *rel);
+      self.send_ip(setup.src_signal_address.ip(), *rel);
       return;
     }
-    call_ref_ = setup->call_ref;
-    peer_number_ = setup->calling;
-    remote_signal_ = setup->src_signal_address.ip();
-    remote_media_ = setup->media_address.ip();
+    self.call_ref_ = setup.call_ref;
+    self.peer_number_ = setup.calling;
+    self.remote_signal_ = setup.src_signal_address.ip();
+    self.remote_media_ = setup.media_address.ip();
     // Step 2.4: confirm sufficient routing information.
     auto proceed = pool_message<Q931CallProceeding>();
-    proceed->call_ref = call_ref_;
-    send_ip(remote_signal_, *proceed);
+    proceed->call_ref = self.call_ref_;
+    self.send_ip(self.remote_signal_, *proceed);
     // Step 2.5: ask the gatekeeper for admission before alerting.
-    enter(State::kIncomingArq);
+    self.enter(State::kIncomingArq);
     auto arq = pool_message<RasArq>();
-    arq->endpoint_id = endpoint_id_;
-    arq->call_ref = call_ref_;
-    arq->calling = setup->calling;
-    arq->called = config_.alias;
+    arq->endpoint_id = self.endpoint_id_;
+    arq->call_ref = self.call_ref_;
+    arq->calling = setup.calling;
+    arq->called = self.config_.alias;
     arq->answer_call = true;
-    send_ip(config_.gk_ip, *arq);
-    retx_.arm(
+    self.send_ip(self.config_.gk_ip, *arq);
+    self.retx_.arm(
         retx_key(RetxKind::kArq),
-        [this] {
-          if (state_ != State::kIncomingArq) return;
+        [&self] {
+          if (self.state_ != State::kIncomingArq) return;
           auto again = pool_message<RasArq>();
-          again->endpoint_id = endpoint_id_;
-          again->call_ref = call_ref_;
-          again->calling = peer_number_;
-          again->called = config_.alias;
+          again->endpoint_id = self.endpoint_id_;
+          again->call_ref = self.call_ref_;
+          again->calling = self.peer_number_;
+          again->called = self.config_.alias;
           again->answer_call = true;
-          send_ip(config_.gk_ip, *again);
+          self.send_ip(self.config_.gk_ip, *again);
         },
-        [this] {
-          if (state_ != State::kIncomingArq) return;
+        [&self] {
+          if (self.state_ != State::kIncomingArq) return;
           // No admission decision: clear the incoming leg toward the
           // caller and return to service.
           auto rel = pool_message<Q931ReleaseComplete>();
-          rel->call_ref = call_ref_;
+          rel->call_ref = self.call_ref_;
           rel->cause = 47;  // resource unavailable
-          send_ip(remote_signal_, *rel);
-          enter(State::kRegistered);
-          if (on_released) on_released(call_ref_);
+          self.send_ip(self.remote_signal_, *rel);
+          self.enter(State::kRegistered);
+          if (self.on_released) self.on_released(self.call_ref_);
         });
-    return;
-  }
-  if (const auto* proceeding =
-          dynamic_cast<const Q931CallProceeding*>(&inner)) {
+  })
+  .on([](H323Terminal& self, const Q931CallProceeding& proceeding) {
     // The far end has our Setup: stop retransmitting it.
-    if (proceeding->call_ref == call_ref_) {
-      retx_.ack(retx_key(RetxKind::kSetup));
+    if (proceeding.call_ref == self.call_ref_) {
+      self.retx_.ack(retx_key(RetxKind::kSetup));
     }
-    return;
-  }
-  if (const auto* alert = dynamic_cast<const Q931Alerting*>(&inner)) {
-    if (state_ == State::kCalling && alert->call_ref == call_ref_) {
-      enter(State::kRingback);
-      if (on_ringback) on_ringback(call_ref_);
+  })
+  .on([](H323Terminal& self, const Q931Alerting& alert) {
+    if (self.state_ == State::kCalling && alert.call_ref == self.call_ref_) {
+      self.enter(State::kRingback);
+      if (self.on_ringback) self.on_ringback(self.call_ref_);
     }
-    return;
-  }
-  if (const auto* conn = dynamic_cast<const Q931Connect*>(&inner)) {
-    if ((state_ == State::kRingback || state_ == State::kCalling) &&
-        conn->call_ref == call_ref_) {
-      net().spans().close(SpanKind::kOrigination, call_ref_.value(),
-                          SpanOutcome::kOk, now());
-      remote_media_ = conn->media_address.ip();
-      enter(State::kConnected);
-      if (on_connected) on_connected(call_ref_);
-      if (voice_remaining_ > 0) send_voice_frame();
+  })
+  .on([](H323Terminal& self, const Q931Connect& conn) {
+    if ((self.state_ == State::kRingback || self.state_ == State::kCalling) &&
+        conn.call_ref == self.call_ref_) {
+      self.net().spans().close(SpanKind::kOrigination, self.call_ref_.value(),
+                               SpanOutcome::kOk, self.now());
+      self.remote_media_ = conn.media_address.ip();
+      self.enter(State::kConnected);
+      if (self.on_connected) self.on_connected(self.call_ref_);
+      if (self.voice_remaining_ > 0) self.send_voice_frame();
     }
-    return;
-  }
-  if (const auto* rel = dynamic_cast<const Q931ReleaseComplete*>(&inner)) {
-    if (rel->call_ref == call_ref_ && state_ != State::kIdle &&
-        state_ != State::kRegistered) {
-      if (state_ == State::kCalling || state_ == State::kRingback) {
+  })
+  .on([](H323Terminal& self, const Q931ReleaseComplete& rel) {
+    if (rel.call_ref == self.call_ref_ && self.state_ != State::kIdle &&
+        self.state_ != State::kRegistered) {
+      if (self.state_ == State::kCalling || self.state_ == State::kRingback) {
         // Far end cleared before answering our setup.
-        net().spans().close(SpanKind::kOrigination, call_ref_.value(),
-                            SpanOutcome::kRejected, now());
+        self.net().spans().close(SpanKind::kOrigination, self.call_ref_.value(),
+                                 SpanOutcome::kRejected, self.now());
       }
-      release_local(rel->call_ref);
+      self.release_local(rel.call_ref);
     }
-    return;
-  }
-
-  // --- media -----------------------------------------------------------------------
-  if (const auto* rtp = dynamic_cast<const RtpPacket*>(&inner)) {
-    ++voice_rx_;
-    voice_latency_.add(
-        SimDuration::micros(now().count_micros() - rtp->origin_us));
-    return;
-  }
-
-  VG_DEBUG("h323", name() << ": ignoring " << inner.name() << " from "
-                          << dgram.src.to_string());
+  })
+  .on([](H323Terminal& self, const RtpPacket& rtp) {
+    ++self.voice_rx_;
+    self.voice_latency_.add(
+        SimDuration::micros(self.now().count_micros() - rtp.origin_us));
+  });
+  return table;
 }
 
 }  // namespace vgprs

@@ -41,8 +41,11 @@ class H323Terminal : public IpEndpoint {
     kConnected,
   };
 
+  /// RAS, Q.931 and RTP, by inner wire type.
+  static const IpHandlers& ip_table();
+
   H323Terminal(std::string name, Config config)
-      : IpEndpoint(std::move(name), config.ip, config.router_name),
+      : IpEndpoint(std::move(name), config.ip, config.router_name, ip_table()),
         config_(std::move(config)) {}
 
   // --- user API ---------------------------------------------------------------
@@ -75,7 +78,8 @@ class H323Terminal : public IpEndpoint {
   void on_timer(TimerId id, std::uint64_t cookie) override;
 
  protected:
-  void on_ip(const IpDatagramInfo& dgram, const Message& inner) override;
+  void on_other_ip(const IpDatagramInfo& dgram,
+                   const Message& inner) override;
 
  private:
   /// Keys for the terminal's own request–response exchanges.

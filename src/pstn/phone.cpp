@@ -79,71 +79,69 @@ void PstnPhone::on_timer(TimerId, std::uint64_t cookie) {
   if (kind == kVoiceKind) send_voice_frame();
 }
 
-void PstnPhone::on_message(const Envelope& env) {
-  const Message& msg = *env.msg;
-
-  if (const auto* iam = dynamic_cast<const IsupIam*>(&msg)) {
-    if (state_ != State::kIdle) {
+const PstnPhone::Handlers& PstnPhone::handler_table() {
+  static const Handlers table = Handlers{}
+  .on([](PstnPhone& self, const IsupIam& iam, const Envelope& env) {
+    if (self.state_ != State::kIdle) {
       auto rel = pool_message<IsupRel>();
-      rel->cic = iam->cic;
+      rel->cic = iam.cic;
       rel->cause = 17;  // user busy
-      send(env.from, std::move(rel));
+      self.send(env.from, std::move(rel));
       return;
     }
-    state_ = State::kIncoming;
-    ++epoch_;
-    cic_ = iam->cic;
+    self.state_ = State::kIncoming;
+    ++self.epoch_;
+    self.cic_ = iam.cic;
     auto acm = pool_message<IsupAcm>();
-    acm->cic = cic_;
-    send(env.from, std::move(acm));
-    if (on_incoming) on_incoming(iam->calling);
-    if (config_.auto_answer) {
-      set_timer(config_.answer_delay, make_cookie(kAnswerKind, epoch_));
+    acm->cic = self.cic_;
+    self.send(env.from, std::move(acm));
+    if (self.on_incoming) self.on_incoming(iam.calling);
+    if (self.config_.auto_answer) {
+      self.set_timer(self.config_.answer_delay,
+                     make_cookie(kAnswerKind, self.epoch_));
     }
-    return;
-  }
-  if (const auto* acm = dynamic_cast<const IsupAcm*>(&msg)) {
-    if (state_ == State::kDialing && acm->cic == cic_) {
-      state_ = State::kRinging;
-      if (on_ringback) on_ringback();
+  })
+  .on([](PstnPhone& self, const IsupAcm& acm) {
+    if (self.state_ == State::kDialing && acm.cic == self.cic_) {
+      self.state_ = State::kRinging;
+      if (self.on_ringback) self.on_ringback();
     }
-    return;
-  }
-  if (const auto* anm = dynamic_cast<const IsupAnm*>(&msg)) {
-    if (state_ == State::kRinging && anm->cic == cic_) {
-      state_ = State::kConnected;
-      if (on_connected) on_connected();
-      if (voice_remaining_ > 0) send_voice_frame();
+  })
+  .on([](PstnPhone& self, const IsupAnm& anm) {
+    if (self.state_ == State::kRinging && anm.cic == self.cic_) {
+      self.state_ = State::kConnected;
+      if (self.on_connected) self.on_connected();
+      if (self.voice_remaining_ > 0) self.send_voice_frame();
     }
-    return;
-  }
-  if (const auto* rel = dynamic_cast<const IsupRel*>(&msg)) {
-    if (rel->cic != cic_) return;
+  })
+  .on([](PstnPhone& self, const IsupRel& rel, const Envelope& env) {
+    if (rel.cic != self.cic_) return;
     auto rlc = pool_message<IsupRlc>();
-    rlc->cic = cic_;
-    send(env.from, std::move(rlc));
-    state_ = State::kIdle;
-    ++epoch_;
-    if (on_released) on_released();
-    return;
-  }
-  if (const auto* rlc = dynamic_cast<const IsupRlc*>(&msg)) {
-    if (rlc->cic == cic_ && state_ == State::kReleasing) {
-      state_ = State::kIdle;
-      ++epoch_;
-      if (on_released) on_released();
+    rlc->cic = self.cic_;
+    self.send(env.from, std::move(rlc));
+    self.state_ = State::kIdle;
+    ++self.epoch_;
+    if (self.on_released) self.on_released();
+  })
+  .on([](PstnPhone& self, const IsupRlc& rlc) {
+    if (rlc.cic == self.cic_ && self.state_ == State::kReleasing) {
+      self.state_ = State::kIdle;
+      ++self.epoch_;
+      if (self.on_released) self.on_released();
     }
-    return;
-  }
-  if (const auto* voice = dynamic_cast<const TrunkVoice*>(&msg)) {
-    if (voice->cic == cic_ && state_ == State::kConnected) {
-      voice_latency_.add(
-          SimDuration::micros(now().count_micros() - voice->origin_us));
+  })
+  .on([](PstnPhone& self, const TrunkVoice& voice) {
+    if (voice.cic == self.cic_ && self.state_ == State::kConnected) {
+      self.voice_latency_.add(
+          SimDuration::micros(self.now().count_micros() - voice.origin_us));
     }
-    return;
-  }
+  });
+  return table;
+}
 
-  VG_DEBUG("phone", name() << ": ignoring " << msg.name());
+void PstnPhone::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
+  VG_DEBUG("phone", name() << ": ignoring " << env.msg->name());
 }
 
 }  // namespace vgprs

@@ -46,6 +46,10 @@ class PstnPhone final : public Node {
   std::function<void()> on_connected;
   std::function<void()> on_released;
 
+  using Handlers = NodeHandlers<PstnPhone>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
   void on_timer(TimerId id, std::uint64_t cookie) override;
 

@@ -46,72 +46,60 @@ const PstnSwitch::Route* PstnSwitch::best_route(const Msisdn& called) const {
   return best;
 }
 
-void PstnSwitch::on_message(const Envelope& env) {
-  const Message& msg = *env.msg;
+// Everything else relays along the established legs: backward messages
+// (ACM/ANM) go upstream, REL/RLC/voice go to the peer of the sender.
+template <typename M>
+void PstnSwitch::relay(const M& m, const Envelope& env) {
+  auto it = legs_.find(m.cic);
+  if (it == legs_.end()) return;
+  NodeId peer = env.from == it->second.upstream ? it->second.downstream
+                                                : it->second.upstream;
+  send(peer, MessagePtr(m.clone()));
+}
 
-  if (const auto* iam = dynamic_cast<const IsupIam*>(&msg)) {
+const PstnSwitch::Handlers& PstnSwitch::handler_table() {
+  static const Handlers table = Handlers{}
+  .on([](PstnSwitch& self, const IsupIam& iam, const Envelope& env) {
     NodeId next;
     TrunkClass klass = TrunkClass::kSubscriberLine;
-    if (auto sub = subscribers_.find(iam->called);
-        sub != subscribers_.end()) {
-      Node* phone = net().node_by_name(sub->second);
+    if (auto sub = self.subscribers_.find(iam.called);
+        sub != self.subscribers_.end()) {
+      Node* phone = self.net().node_by_name(sub->second);
       if (phone != nullptr) next = phone->id();
-    } else if (const Route* route = best_route(iam->called)) {
-      Node* hop = net().node_by_name(route->next_hop);
+    } else if (const Route* route = self.best_route(iam.called)) {
+      Node* hop = self.net().node_by_name(route->next_hop);
       if (hop != nullptr) {
         next = hop->id();
         klass = route->klass;
       }
     }
     if (!next.valid()) {
-      VG_WARN("pstn", name() << ": no route to " << iam->called.to_string());
+      VG_WARN("pstn", self.name() << ": no route to "
+                                  << iam.called.to_string());
       auto rel = pool_message<IsupRel>();
-      rel->cic = iam->cic;
+      rel->cic = iam.cic;
       rel->cause = 1;  // unallocated number
-      send(env.from, std::move(rel));
+      self.send(env.from, std::move(rel));
       return;
     }
-    counters_.bump(std::string("iam.") + to_string(klass));
-    legs_[iam->cic] = Leg{env.from, next};
-    send(next, MessagePtr(msg.clone()));
-    return;
-  }
+    self.counters_.bump(std::string("iam.") + to_string(klass));
+    self.legs_[iam.cic] = Leg{env.from, next};
+    self.send(next, MessagePtr(iam.clone()));
+  })
+  .on<&PstnSwitch::relay<IsupAcm>>()
+  .on<&PstnSwitch::relay<IsupAnm>>()
+  .on<&PstnSwitch::relay<IsupRel>>()
+  .on([](PstnSwitch& self, const IsupRlc& rlc, const Envelope& env) {
+    self.relay(rlc, env);
+    self.legs_.erase(rlc.cic);
+  })
+  .on<&PstnSwitch::relay<TrunkVoice>>();
+  return table;
+}
 
-  // Everything else relays along the established legs: backward messages
-  // (ACM/ANM) go upstream, REL/RLC/voice go to the peer of the sender.
-  auto relay = [&](Cic cic) -> bool {
-    auto it = legs_.find(cic);
-    if (it == legs_.end()) return false;
-    NodeId peer =
-        env.from == it->second.upstream ? it->second.downstream
-                                        : it->second.upstream;
-    send(peer, MessagePtr(msg.clone()));
-    return true;
-  };
-
-  if (const auto* acm = dynamic_cast<const IsupAcm*>(&msg)) {
-    relay(acm->cic);
-    return;
-  }
-  if (const auto* anm = dynamic_cast<const IsupAnm*>(&msg)) {
-    relay(anm->cic);
-    return;
-  }
-  if (const auto* rel = dynamic_cast<const IsupRel*>(&msg)) {
-    relay(rel->cic);
-    return;
-  }
-  if (const auto* rlc = dynamic_cast<const IsupRlc*>(&msg)) {
-    relay(rlc->cic);
-    legs_.erase(rlc->cic);
-    return;
-  }
-  if (const auto* voice = dynamic_cast<const TrunkVoice*>(&msg)) {
-    relay(voice->cic);
-    return;
-  }
-
-  VG_WARN("pstn", name() << ": unhandled " << msg.name());
+void PstnSwitch::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
+  VG_WARN("pstn", name() << ": unhandled " << env.msg->name());
 }
 
 }  // namespace vgprs

@@ -47,9 +47,16 @@ class PstnSwitch final : public Node {
   [[nodiscard]] std::int64_t trunks_used(TrunkClass klass) const;
   [[nodiscard]] const CounterSet& counters() const { return counters_; }
 
+  using Handlers = NodeHandlers<PstnSwitch>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+
   void on_message(const Envelope& env) override;
 
  private:
+  template <typename M>
+  void relay(const M& m, const Envelope& env);
+
   struct Route {
     std::string prefix;
     std::string next_hop;

@@ -1,5 +1,9 @@
 #include "sim/message.hpp"
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "sim/dispatch.hpp"
 
 namespace vgprs {
 
@@ -85,5 +89,12 @@ Result<std::unique_ptr<Message>> MessageRegistry::decode(
   }
   return msg;
 }
+
+namespace detail {
+void handler_table_error(std::string_view what, std::string_view type) {
+  throw std::logic_error("handler table: " + std::string(what) + ": " +
+                         std::string(type));
+}
+}  // namespace detail
 
 }  // namespace vgprs

@@ -106,6 +106,11 @@ class MessageRegistry {
 
   void add(std::uint16_t wire_type, std::string_view name, Factory factory);
   [[nodiscard]] bool known(std::uint16_t wire_type) const;
+  /// Dense slot of a registered type: 1..size() in registration order, 0
+  /// when unregistered.  Handler tables (sim/dispatch.hpp) index by it.
+  [[nodiscard]] std::uint32_t slot_of(std::uint16_t wire_type) const {
+    return wire_type < slot_.size() ? slot_[wire_type] : 0;
+  }
   [[nodiscard]] std::string_view name_of(std::uint16_t wire_type) const;
   /// All registered wire types (sorted), for exhaustive codec sweeps.
   [[nodiscard]] std::vector<std::uint16_t> types() const;

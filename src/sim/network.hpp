@@ -49,6 +49,7 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "sim/btrace.hpp"
+#include "sim/dispatch.hpp"
 #include "sim/dispatch_key.hpp"
 #include "sim/event_heap.hpp"
 #include "sim/metrics.hpp"

@@ -27,51 +27,48 @@ void TrGatekeeper::admit(const RasAdmissionRequestInfo& arq,
   send(hlr->id(), std::move(sri));
 }
 
-void TrGatekeeper::on_other(const Envelope& env) {
-  const auto* ack =
-      dynamic_cast<const MapSendRoutingInformationAck*>(env.msg.get());
-  if (ack == nullptr) {
-    Gatekeeper::on_other(env);
-    return;
-  }
-  auto it = pending_by_alias_.find(ack->msisdn);
-  if (it == pending_by_alias_.end()) return;
-  PendingAdmission& pending = it->second;
-  if (!ack->found || !ack->imsi.valid()) {
-    // Not a mobile subscriber: a plain H.323 endpoint — admit directly.
-    confirm_admission(pending.arq, pending.requester, pending.dest);
-    pending_by_alias_.erase(it);
-    return;
-  }
-  // The IMSI is now known outside the GPRS operator's domain.
-  ++imsis_learned_;
-  pending.imsi = ack->imsi;
-  alias_by_imsi_[ack->imsi] = ack->msisdn;
-  ++ggsn_activations_;
-  auto act = pool_message<GgsnActivationRequest>();
-  act->imsi = ack->imsi;
-  send_ip(tr_.ggsn_control_ip, *act);
-}
-
-void TrGatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
-  if (const auto* rsp =
-          dynamic_cast<const GgsnActivationResponse*>(&inner)) {
-    auto alias_it = alias_by_imsi_.find(rsp->imsi);
-    if (alias_it == alias_by_imsi_.end()) return;
-    auto it = pending_by_alias_.find(alias_it->second);
-    alias_by_imsi_.erase(alias_it);
-    if (it == pending_by_alias_.end()) return;
-    PendingAdmission pending = it->second;
-    pending_by_alias_.erase(it);
-    if (!rsp->success) {
-      reject_admission(pending.arq, pending.requester,
-                       ArjCause::kResourceUnavailable);
+const IpEndpoint::Handlers& TrGatekeeper::handler_table() {
+  static const Handlers table = Handlers(IpEndpoint::handler_table())
+  .on([](TrGatekeeper& self, const MapSendRoutingInformationAck& ack) {
+    auto it = self.pending_by_alias_.find(ack.msisdn);
+    if (it == self.pending_by_alias_.end()) return;
+    PendingAdmission& pending = it->second;
+    if (!ack.found || !ack.imsi.valid()) {
+      // Not a mobile subscriber: a plain H.323 endpoint — admit directly.
+      self.confirm_admission(pending.arq, pending.requester, pending.dest);
+      self.pending_by_alias_.erase(it);
       return;
     }
-    confirm_admission(pending.arq, pending.requester, pending.dest);
-    return;
-  }
-  Gatekeeper::on_ip(dgram, inner);
+    // The IMSI is now known outside the GPRS operator's domain.
+    ++self.imsis_learned_;
+    pending.imsi = ack.imsi;
+    self.alias_by_imsi_[ack.imsi] = ack.msisdn;
+    ++self.ggsn_activations_;
+    auto act = pool_message<GgsnActivationRequest>();
+    act->imsi = ack.imsi;
+    self.send_ip(self.tr_.ggsn_control_ip, *act);
+  });
+  return table;
+}
+
+const IpEndpoint::IpHandlers& TrGatekeeper::ip_table() {
+  static const IpHandlers table = IpHandlers(Gatekeeper::ip_table())
+  .on([](TrGatekeeper& self, const GgsnActivationResponse& rsp) {
+    auto alias_it = self.alias_by_imsi_.find(rsp.imsi);
+    if (alias_it == self.alias_by_imsi_.end()) return;
+    auto it = self.pending_by_alias_.find(alias_it->second);
+    self.alias_by_imsi_.erase(alias_it);
+    if (it == self.pending_by_alias_.end()) return;
+    PendingAdmission pending = it->second;
+    self.pending_by_alias_.erase(it);
+    if (!rsp.success) {
+      self.reject_admission(pending.arq, pending.requester,
+                            ArjCause::kResourceUnavailable);
+      return;
+    }
+    self.confirm_admission(pending.arq, pending.requester, pending.dest);
+  });
+  return table;
 }
 
 }  // namespace vgprs

@@ -9,6 +9,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "gprs/messages.hpp"
 #include "gsm/messages.hpp"
 #include "h323/gatekeeper.hpp"
 
@@ -21,9 +22,15 @@ class TrGatekeeper final : public Gatekeeper {
     IpAddress ggsn_control_ip;
   };
 
+  /// IpEndpoint's table extended with the MAP answer from the HLR.
+  static const Handlers& handler_table();
+  /// Gatekeeper's RAS table extended with the GGSN's activation answer.
+  static const IpHandlers& ip_table();
+
   TrGatekeeper(std::string name, IpAddress ip, std::string router_name,
                TrConfig tr)
-      : Gatekeeper(std::move(name), ip, std::move(router_name)),
+      : Gatekeeper(std::move(name), ip, std::move(router_name), ip_table(),
+                   handler_table()),
         tr_(std::move(tr)) {}
 
   [[nodiscard]] std::uint64_t hlr_queries() const { return hlr_queries_; }
@@ -37,8 +44,6 @@ class TrGatekeeper final : public Gatekeeper {
  protected:
   void admit(const RasAdmissionRequestInfo& arq, IpAddress requester,
              const Registration& reg) override;
-  void on_other(const Envelope& env) override;
-  void on_ip(const IpDatagramInfo& dgram, const Message& inner) override;
 
  private:
   struct PendingAdmission {

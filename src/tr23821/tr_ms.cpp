@@ -14,30 +14,6 @@ constexpr std::uint64_t make_cookie(std::uint64_t kind, std::uint64_t epoch) {
   return (kind << 56) | (epoch & 0x00FFFFFFFFFFFFFFULL);
 }
 
-/// Extracts the IMSI (standing in for the TLLI) from any GPRS message the
-/// MS can receive on its SGSN link.
-template <typename... Ts>
-struct ImsiExtractor;
-
-template <typename T, typename... Rest>
-struct ImsiExtractor<T, Rest...> {
-  static const Imsi* get(const Message& msg) {
-    if (const auto* m = dynamic_cast<const T*>(&msg)) return &m->imsi;
-    return ImsiExtractor<Rest...>::get(msg);
-  }
-};
-
-template <>
-struct ImsiExtractor<> {
-  static const Imsi* get(const Message&) { return nullptr; }
-};
-
-const Imsi* gprs_imsi(const Message& msg) {
-  return ImsiExtractor<GprsAttachAccept, GprsAttachReject,
-                       ActivatePdpContextAccept, ActivatePdpContextReject,
-                       DeactivatePdpContextAccept, RequestPdpContextActivation,
-                       GbUnitData>::get(msg);
-}
 }  // namespace
 
 void TrMobileStation::enter(State s) {
@@ -330,372 +306,370 @@ void TrMobileStation::on_timer(TimerId, std::uint64_t cookie) {
   if (kind == kVoiceKind) send_voice_frame();
 }
 
-void TrMobileStation::on_message(const Envelope& env) {
-  const Message& msg = *env.msg;
-
-  // A real MS filters on its own identity: a response echoing someone
-  // else's IMSI (e.g. a corrupted-but-decodable request bounced back as a
-  // reject for the garbled identity) must not drive our state machine.
-  if (const Imsi* imsi = gprs_imsi(msg);
-      imsi != nullptr && *imsi != config_.imsi) {
-    return;
-  }
-
-  if (const auto* acc = dynamic_cast<const GprsAttachAccept*>(&msg)) {
-    (void)acc;
-    retx_.ack(retx_key(RetxKind::kAttach));
-    if (state_ != State::kAttaching) return;
-    attached_ = true;
-    enter(State::kActivatingInitial);
-    activate_pdp();
-    return;
-  }
-  if (dynamic_cast<const GprsAttachReject*>(&msg) != nullptr) {
-    retx_.ack(retx_key(RetxKind::kAttach));
-    if (state_ != State::kAttaching) return;
-    net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
-                        SpanOutcome::kRejected, now());
-    enter(State::kDetached);
-    if (on_failure) on_failure("GPRS attach rejected");
-    return;
-  }
-
-  if (const auto* acc = dynamic_cast<const ActivatePdpContextAccept*>(&msg)) {
-    retx_.ack(retx_key(RetxKind::kPdpActivate));
-    if (state_ != State::kActivatingInitial &&
-        state_ != State::kActivatingForCall &&
-        state_ != State::kActivatingForPage) {
+// A real MS filters on its own identity: a response echoing someone else's
+// IMSI (e.g. a corrupted-but-decodable request bounced back as a reject for
+// the garbled identity) must not drive our state machine, so every handler
+// above starts by checking it.
+const TrMobileStation::Handlers& TrMobileStation::handler_table() {
+  static const Handlers table = Handlers{}
+  .on([](TrMobileStation& self, const GprsAttachAccept& acc) {
+    if (acc.imsi != self.config_.imsi) return;
+    self.retx_.ack(retx_key(RetxKind::kAttach));
+    if (self.state_ != State::kAttaching) return;
+    self.attached_ = true;
+    self.enter(State::kActivatingInitial);
+    self.activate_pdp();
+  })
+  .on([](TrMobileStation& self, const GprsAttachReject& rej) {
+    if (rej.imsi != self.config_.imsi) return;
+    self.retx_.ack(retx_key(RetxKind::kAttach));
+    if (self.state_ != State::kAttaching) return;
+    self.net().spans().close(SpanKind::kRegistration, self.config_.imsi.value(),
+                             SpanOutcome::kRejected, self.now());
+    self.enter(State::kDetached);
+    if (self.on_failure) self.on_failure("GPRS attach rejected");
+  })
+  .on([](TrMobileStation& self, const ActivatePdpContextAccept& acc) {
+    if (acc.imsi != self.config_.imsi) return;
+    self.retx_.ack(retx_key(RetxKind::kPdpActivate));
+    if (self.state_ != State::kActivatingInitial &&
+        self.state_ != State::kActivatingForCall &&
+        self.state_ != State::kActivatingForPage) {
       return;  // duplicate accept after the span already closed
     }
-    net().spans().close(SpanKind::kPdpActivation, config_.imsi.value(),
-                        SpanOutcome::kOk, now());
-    pdp_active_ = true;
-    pdp_address_ = acc->address;
-    if (state_ == State::kActivatingInitial) {
-      enter(State::kRasRegistering);
+    self.net().spans().close(SpanKind::kPdpActivation,
+                             self.config_.imsi.value(), SpanOutcome::kOk,
+                             self.now());
+    self.pdp_active_ = true;
+    self.pdp_address_ = acc.address;
+    if (self.state_ == State::kActivatingInitial) {
+      self.enter(State::kRasRegistering);
       auto rrq = pool_message<RasRrq>();
       rrq->call_signal_address =
-          TransportAddress(pdp_address_, config_.signal_port);
-      rrq->alias = config_.msisdn;
-      send_tunneled(config_.gk_ip, *rrq);
-      retx_.arm(
+          TransportAddress(self.pdp_address_, self.config_.signal_port);
+      rrq->alias = self.config_.msisdn;
+      self.send_tunneled(self.config_.gk_ip, *rrq);
+      self.retx_.arm(
           retx_key(RetxKind::kRrq),
-          [this] {
-            if (state_ != State::kRasRegistering) return;
+          [&self] {
+            if (self.state_ != State::kRasRegistering) return;
             auto again = pool_message<RasRrq>();
             again->call_signal_address =
-                TransportAddress(pdp_address_, config_.signal_port);
-            again->alias = config_.msisdn;
-            send_tunneled(config_.gk_ip, *again);
+                TransportAddress(self.pdp_address_, self.config_.signal_port);
+            again->alias = self.config_.msisdn;
+            self.send_tunneled(self.config_.gk_ip, *again);
           },
-          [this] {
-            if (state_ != State::kRasRegistering) return;
-            net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
-                                SpanOutcome::kTimeout, now());
-            if (on_failure) on_failure("RAS registration timed out");
-            if (config_.deactivate_pdp_when_idle) {
-              deactivate_pdp(State::kDeactivatingIdle);
+          [&self] {
+            if (self.state_ != State::kRasRegistering) return;
+            self.net().spans().close(SpanKind::kRegistration,
+                                     self.config_.imsi.value(),
+                                     SpanOutcome::kTimeout, self.now());
+            if (self.on_failure) self.on_failure("RAS registration timed out");
+            if (self.config_.deactivate_pdp_when_idle) {
+              self.deactivate_pdp(State::kDeactivatingIdle);
             } else {
-              enter(State::kIdle);
+              self.enter(State::kIdle);
             }
           });
       return;
     }
-    if (state_ == State::kActivatingForCall) {
-      enter(State::kArqSent);
-      send_arq();
+    if (self.state_ == State::kActivatingForCall) {
+      self.enter(State::kArqSent);
+      self.send_arq();
       return;
     }
-    if (state_ == State::kActivatingForPage) {
+    if (self.state_ == State::kActivatingForPage) {
       // Routing path re-established; the caller's Setup will now reach us
       // (or already did and was held).
-      enter(State::kIdle);
-      if (pending_setup_ != nullptr) {
-        auto held = std::move(pending_setup_);
-        pending_setup_ = nullptr;
-        handle_tunneled(*held);
+      self.enter(State::kIdle);
+      if (self.pending_setup_ != nullptr) {
+        auto held = std::move(self.pending_setup_);
+        self.pending_setup_ = nullptr;
+        self.handle_tunneled(*held);
       }
       return;
     }
-    return;
-  }
-  if (dynamic_cast<const ActivatePdpContextReject*>(&msg) != nullptr) {
-    retx_.ack(retx_key(RetxKind::kPdpActivate));
-    if (state_ != State::kActivatingInitial &&
-        state_ != State::kActivatingForCall &&
-        state_ != State::kActivatingForPage) {
+  })
+  .on([](TrMobileStation& self, const ActivatePdpContextReject&) {
+    self.retx_.ack(retx_key(RetxKind::kPdpActivate));
+    if (self.state_ != State::kActivatingInitial &&
+        self.state_ != State::kActivatingForCall &&
+        self.state_ != State::kActivatingForPage) {
       return;
     }
-    net().spans().close(SpanKind::kPdpActivation, config_.imsi.value(),
-                        SpanOutcome::kRejected, now());
-    pending_setup_ = nullptr;  // the held caller's Setup cannot be serviced
-    if (state_ == State::kActivatingInitial) {
-      net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
-                          SpanOutcome::kRejected, now());
-    } else if (state_ == State::kActivatingForCall) {
-      net().spans().close(SpanKind::kOrigination, config_.imsi.value(),
-                          SpanOutcome::kRejected, now());
+    self.net().spans().close(SpanKind::kPdpActivation,
+                             self.config_.imsi.value(), SpanOutcome::kRejected,
+                             self.now());
+    // the held caller's Setup cannot be serviced
+    self.pending_setup_ = nullptr;
+    if (self.state_ == State::kActivatingInitial) {
+      self.net().spans().close(SpanKind::kRegistration,
+                               self.config_.imsi.value(),
+                               SpanOutcome::kRejected, self.now());
+    } else if (self.state_ == State::kActivatingForCall) {
+      self.net().spans().close(SpanKind::kOrigination,
+                               self.config_.imsi.value(),
+                               SpanOutcome::kRejected, self.now());
     }
-    if (on_failure) on_failure("PDP activation rejected");
-    enter(attached_ ? State::kIdle : State::kDetached);
-    pdp_active_ = false;
-    return;
-  }
-  if (dynamic_cast<const DeactivatePdpContextAccept*>(&msg) != nullptr) {
-    retx_.ack(retx_key(RetxKind::kPdpDeactivate));
-    if (state_ != State::kDeactivatingIdle &&
-        state_ != State::kDeactivatingAfterCall) {
+    if (self.on_failure) self.on_failure("PDP activation rejected");
+    self.enter(self.attached_ ? State::kIdle : State::kDetached);
+    self.pdp_active_ = false;
+  })
+  .on([](TrMobileStation& self, const DeactivatePdpContextAccept&) {
+    self.retx_.ack(retx_key(RetxKind::kPdpDeactivate));
+    if (self.state_ != State::kDeactivatingIdle &&
+        self.state_ != State::kDeactivatingAfterCall) {
       return;
     }
-    net().spans().close(SpanKind::kPdpDeactivation, config_.imsi.value(),
-                        SpanOutcome::kOk, now());
-    pdp_active_ = false;
-    pdp_address_ = IpAddress{};
-    if (state_ == State::kDeactivatingIdle ||
-        state_ == State::kDeactivatingAfterCall) {
-      enter(State::kIdle);
+    self.net().spans().close(SpanKind::kPdpDeactivation,
+                             self.config_.imsi.value(), SpanOutcome::kOk,
+                             self.now());
+    self.pdp_active_ = false;
+    self.pdp_address_ = IpAddress{};
+    if (self.state_ == State::kDeactivatingIdle ||
+        self.state_ == State::kDeactivatingAfterCall) {
+      self.enter(State::kIdle);
     }
-    return;
-  }
-
-  if (const auto* req =
-          dynamic_cast<const RequestPdpContextActivation*>(&msg)) {
+  })
+  .on([](TrMobileStation& self, const RequestPdpContextActivation& req) {
+    if (req.imsi != self.config_.imsi) return;
     // Network-initiated activation for a terminating call (3G TR 23.821).
-    if (state_ != State::kIdle || pdp_active_) return;
-    enter(State::kActivatingForPage);
-    ++pdp_activations_;
-    net().spans().open(SpanKind::kPdpActivation, config_.imsi.value(), name(),
-                       now());
+    if (self.state_ != State::kIdle || self.pdp_active_) return;
+    self.enter(State::kActivatingForPage);
+    ++self.pdp_activations_;
+    self.net().spans().open(SpanKind::kPdpActivation, self.config_.imsi.value(),
+                            self.name(), self.now());
     auto act = pool_message<ActivatePdpContextRequest>();
-    act->imsi = config_.imsi;
-    act->nsapi = req->nsapi;
+    act->imsi = self.config_.imsi;
+    act->nsapi = req.nsapi;
     act->qos = QosProfile{QosClass::kConversational, 13, 1};
-    act->requested_address = req->address;
-    send(sgsn(), std::move(act));
-    Nsapi page_nsapi = req->nsapi;
-    IpAddress page_address = req->address;
-    retx_.arm(
+    act->requested_address = req.address;
+    self.send(self.sgsn(), std::move(act));
+    Nsapi page_nsapi = req.nsapi;
+    IpAddress page_address = req.address;
+    self.retx_.arm(
         retx_key(RetxKind::kPdpActivate),
-        [this, page_nsapi, page_address] {
-          if (pdp_active_ || state_ != State::kActivatingForPage) return;
+        [&self, page_nsapi, page_address] {
+          if (self.pdp_active_ ||
+              self.state_ != State::kActivatingForPage) {
+            return;
+          }
           auto again = pool_message<ActivatePdpContextRequest>();
-          again->imsi = config_.imsi;
+          again->imsi = self.config_.imsi;
           again->nsapi = page_nsapi;
           again->qos = QosProfile{QosClass::kConversational, 13, 1};
           again->requested_address = page_address;
-          send(sgsn(), std::move(again));
+          self.send(self.sgsn(), std::move(again));
         },
-        [this] { give_up_pdp_activation(); });
-    return;
-  }
-
-  if (const auto* frame = dynamic_cast<const GbUnitData*>(&msg)) {
-    auto decoded = MessageRegistry::instance().decode(frame->payload);
+        [&self] { self.give_up_pdp_activation(); });
+  })
+  .on([](TrMobileStation& self, const GbUnitData& frame) {
+    if (frame.imsi != self.config_.imsi) return;
+    auto decoded = MessageRegistry::instance().decode(frame.payload);
     if (!decoded.ok()) return;
-    const auto* dgram =
-        dynamic_cast<const IpDatagram*>(decoded.value().get());
+    const auto* dgram = message_cast<IpDatagram>(decoded.value().get());
     if (dgram == nullptr) return;
     auto inner = ip_payload(*dgram);
     if (!inner.ok()) return;
-    handle_tunneled(*inner.value());
-    return;
-  }
+    self.handle_tunneled(*inner.value());
+  });
+  return table;
+}
 
-  VG_DEBUG("tr-ms", name() << ": ignoring " << msg.name());
+void TrMobileStation::on_message(const Envelope& env) {
+  if (handler_table().dispatch(*this, *env.msg, env)) return;
+  VG_DEBUG("tr-ms", name() << ": ignoring " << env.msg->name());
 }
 
 void TrMobileStation::handle_tunneled(const Message& inner) {
-  if (const auto* rcf = dynamic_cast<const RasRcf*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kRrq));
-    if (state_ != State::kRasRegistering) return;
-    net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
-                        SpanOutcome::kOk, now());
-    endpoint_id_ = rcf->endpoint_id;
+  if (tunnel_table().dispatch(*this, inner)) return;
+  VG_DEBUG("tr-ms", name() << ": ignoring tunneled " << inner.name());
+}
+
+const TrMobileStation::TunnelHandlers& TrMobileStation::tunnel_table() {
+  static const TunnelHandlers table = TunnelHandlers{}
+  .on([](TrMobileStation& self, const RasRcf& rcf) {
+    self.retx_.ack(retx_key(RetxKind::kRrq));
+    if (self.state_ != State::kRasRegistering) return;
+    self.net().spans().close(SpanKind::kRegistration, self.config_.imsi.value(),
+                             SpanOutcome::kOk, self.now());
+    self.endpoint_id_ = rcf.endpoint_id;
     // Step 6 of TR 23.821 Fig. 7: deactivate the context once registered.
-    if (config_.deactivate_pdp_when_idle) {
-      deactivate_pdp(State::kDeactivatingIdle);
+    if (self.config_.deactivate_pdp_when_idle) {
+      self.deactivate_pdp(State::kDeactivatingIdle);
     } else {
-      enter(State::kIdle);
+      self.enter(State::kIdle);
     }
-    if (on_registered) on_registered();
-    return;
-  }
-  if (const auto* acf = dynamic_cast<const RasAcf*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kArq));
-    if (state_ == State::kArqSent && acf->call_ref == call_ref_) {
-      remote_signal_ = acf->dest_call_signal_address.ip();
-      enter(State::kCalling);
+    if (self.on_registered) self.on_registered();
+  })
+  .on([](TrMobileStation& self, const RasAcf& acf) {
+    self.retx_.ack(retx_key(RetxKind::kArq));
+    if (self.state_ == State::kArqSent && acf.call_ref == self.call_ref_) {
+      self.remote_signal_ = acf.dest_call_signal_address.ip();
+      self.enter(State::kCalling);
       auto setup = pool_message<Q931Setup>();
-      setup->call_ref = call_ref_;
-      setup->calling = config_.msisdn;
-      setup->called = peer_number_;
+      setup->call_ref = self.call_ref_;
+      setup->calling = self.config_.msisdn;
+      setup->called = self.peer_number_;
       setup->src_signal_address =
-          TransportAddress(pdp_address_, config_.signal_port);
+          TransportAddress(self.pdp_address_, self.config_.signal_port);
       setup->media_address =
-          TransportAddress(pdp_address_, config_.media_port);
-      send_tunneled(remote_signal_, *setup);
-      retx_.arm(
+          TransportAddress(self.pdp_address_, self.config_.media_port);
+      self.send_tunneled(self.remote_signal_, *setup);
+      self.retx_.arm(
           retx_key(RetxKind::kSetup),
-          [this] {
-            if (state_ != State::kCalling) return;
+          [&self] {
+            if (self.state_ != State::kCalling) return;
             auto again = pool_message<Q931Setup>();
-            again->call_ref = call_ref_;
-            again->calling = config_.msisdn;
-            again->called = peer_number_;
+            again->call_ref = self.call_ref_;
+            again->calling = self.config_.msisdn;
+            again->called = self.peer_number_;
             again->src_signal_address =
-                TransportAddress(pdp_address_, config_.signal_port);
+                TransportAddress(self.pdp_address_, self.config_.signal_port);
             again->media_address =
-                TransportAddress(pdp_address_, config_.media_port);
-            send_tunneled(remote_signal_, *again);
+                TransportAddress(self.pdp_address_, self.config_.media_port);
+            self.send_tunneled(self.remote_signal_, *again);
           },
-          [this] {
-            if (state_ != State::kCalling) return;
-            if (on_failure) on_failure("Setup timed out");
-            release_call(true, 102);
+          [&self] {
+            if (self.state_ != State::kCalling) return;
+            if (self.on_failure) self.on_failure("Setup timed out");
+            self.release_call(true, 102);
           });
       return;
     }
-    if (state_ == State::kIncomingArq && acf->call_ref == call_ref_) {
-      enter(State::kRinging);
+    if (self.state_ == State::kIncomingArq && acf.call_ref == self.call_ref_) {
+      self.enter(State::kRinging);
       auto alert = pool_message<Q931Alerting>();
-      alert->call_ref = call_ref_;
-      send_tunneled(remote_signal_, *alert);
-      if (on_incoming) on_incoming(call_ref_, peer_number_);
-      if (config_.auto_answer) {
-        set_timer(config_.answer_delay, make_cookie(kAnswerKind, epoch_));
+      alert->call_ref = self.call_ref_;
+      self.send_tunneled(self.remote_signal_, *alert);
+      if (self.on_incoming) self.on_incoming(self.call_ref_, self.peer_number_);
+      if (self.config_.auto_answer) {
+        self.set_timer(self.config_.answer_delay,
+                       make_cookie(kAnswerKind, self.epoch_));
       }
       return;
     }
-    return;
-  }
-  if (const auto* arj = dynamic_cast<const RasArj*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kArq));
-    if (arj->call_ref != call_ref_) return;
-    if (state_ == State::kArqSent || state_ == State::kIncomingArq) {
-      if (on_failure) {
-        on_failure("admission rejected, cause " + std::to_string(arj->cause));
+  })
+  .on([](TrMobileStation& self, const RasArj& arj) {
+    self.retx_.ack(retx_key(RetxKind::kArq));
+    if (arj.call_ref != self.call_ref_) return;
+    if (self.state_ == State::kArqSent || self.state_ == State::kIncomingArq) {
+      if (self.on_failure) {
+        self.on_failure("admission rejected, cause " +
+                        std::to_string(arj.cause));
       }
-      release_call(state_ == State::kIncomingArq, 47);
+      self.release_call(self.state_ == State::kIncomingArq, 47);
     }
-    return;
-  }
-  if (dynamic_cast<const RasDcf*>(&inner) != nullptr) {
-    retx_.ack(retx_key(RetxKind::kDrq));
-    if (state_ == State::kAwaitDcf) {
-      deactivate_pdp(State::kDeactivatingAfterCall);
+  })
+  .on([](TrMobileStation& self, const RasDcf&) {
+    self.retx_.ack(retx_key(RetxKind::kDrq));
+    if (self.state_ == State::kAwaitDcf) {
+      self.deactivate_pdp(State::kDeactivatingAfterCall);
     }
-    return;
-  }
-
-  if (const auto* setup = dynamic_cast<const Q931Setup*>(&inner)) {
-    if (state_ == State::kActivatingForPage ||
-        (state_ == State::kIdle && !pdp_active_)) {
+  })
+  .on([](TrMobileStation& self, const Q931Setup& setup) {
+    if (self.state_ == State::kActivatingForPage ||
+        (self.state_ == State::kIdle && !self.pdp_active_)) {
       // The network paged us for this call; the caller's Setup overtook our
       // activation accept on the jittery Gb path.  Hold it until the
       // context is up rather than bouncing the call as busy.
-      pending_setup_ = pool_message<Q931Setup>(*setup);
+      self.pending_setup_ = pool_message<Q931Setup>(setup);
       return;
     }
-    if (setup->call_ref == call_ref_ && state_ != State::kIdle &&
-        state_ != State::kDetached &&
-        setup->src_signal_address.ip() == remote_signal_) {
+    if (setup.call_ref == self.call_ref_ && self.state_ != State::kIdle &&
+        self.state_ != State::kDetached &&
+        setup.src_signal_address.ip() == self.remote_signal_) {
       // Duplicate Setup for the call we are already handling: re-confirm
       // rather than busy-releasing our own call.
       auto proceed = pool_message<Q931CallProceeding>();
-      proceed->call_ref = call_ref_;
-      send_tunneled(remote_signal_, *proceed);
+      proceed->call_ref = self.call_ref_;
+      self.send_tunneled(self.remote_signal_, *proceed);
       return;
     }
-    if (state_ != State::kIdle || !pdp_active_) {
+    if (self.state_ != State::kIdle || !self.pdp_active_) {
       auto rel = pool_message<Q931ReleaseComplete>();
-      rel->call_ref = setup->call_ref;
+      rel->call_ref = setup.call_ref;
       rel->cause = 17;
-      send_tunneled(setup->src_signal_address.ip(), *rel);
+      self.send_tunneled(setup.src_signal_address.ip(), *rel);
       return;
     }
-    call_ref_ = setup->call_ref;
-    peer_number_ = setup->calling;
-    remote_signal_ = setup->src_signal_address.ip();
-    remote_media_ = setup->media_address.ip();
-    net().spans().open(SpanKind::kTermination, config_.imsi.value(), name(),
-                       now());
+    self.call_ref_ = setup.call_ref;
+    self.peer_number_ = setup.calling;
+    self.remote_signal_ = setup.src_signal_address.ip();
+    self.remote_media_ = setup.media_address.ip();
+    self.net().spans().open(SpanKind::kTermination, self.config_.imsi.value(),
+                            self.name(), self.now());
     auto proceed = pool_message<Q931CallProceeding>();
-    proceed->call_ref = call_ref_;
-    send_tunneled(remote_signal_, *proceed);
-    enter(State::kIncomingArq);
+    proceed->call_ref = self.call_ref_;
+    self.send_tunneled(self.remote_signal_, *proceed);
+    self.enter(State::kIncomingArq);
     auto arq = pool_message<RasArq>();
-    arq->endpoint_id = endpoint_id_;
-    arq->call_ref = call_ref_;
-    arq->calling = setup->calling;
-    arq->called = config_.msisdn;
+    arq->endpoint_id = self.endpoint_id_;
+    arq->call_ref = self.call_ref_;
+    arq->calling = setup.calling;
+    arq->called = self.config_.msisdn;
     arq->answer_call = true;
-    send_tunneled(config_.gk_ip, *arq);
-    retx_.arm(
+    self.send_tunneled(self.config_.gk_ip, *arq);
+    self.retx_.arm(
         retx_key(RetxKind::kArq),
-        [this] {
-          if (state_ != State::kIncomingArq) return;
+        [&self] {
+          if (self.state_ != State::kIncomingArq) return;
           auto again = pool_message<RasArq>();
-          again->endpoint_id = endpoint_id_;
-          again->call_ref = call_ref_;
-          again->calling = peer_number_;
-          again->called = config_.msisdn;
+          again->endpoint_id = self.endpoint_id_;
+          again->call_ref = self.call_ref_;
+          again->calling = self.peer_number_;
+          again->called = self.config_.msisdn;
           again->answer_call = true;
-          send_tunneled(config_.gk_ip, *again);
+          self.send_tunneled(self.config_.gk_ip, *again);
         },
-        [this] {
-          if (state_ != State::kIncomingArq) return;
-          if (on_failure) on_failure("admission timed out");
-          release_call(true, 102);
+        [&self] {
+          if (self.state_ != State::kIncomingArq) return;
+          if (self.on_failure) self.on_failure("admission timed out");
+          self.release_call(true, 102);
         });
-    return;
-  }
-  if (dynamic_cast<const Q931CallProceeding*>(&inner) != nullptr) {
-    retx_.ack(retx_key(RetxKind::kSetup));
-    return;
-  }
-  if (const auto* alert = dynamic_cast<const Q931Alerting*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kSetup));
-    if (state_ == State::kCalling && alert->call_ref == call_ref_) {
-      enter(State::kRingback);
+  })
+  .on([](TrMobileStation& self, const Q931CallProceeding&) {
+    self.retx_.ack(retx_key(RetxKind::kSetup));
+  })
+  .on([](TrMobileStation& self, const Q931Alerting& alert) {
+    self.retx_.ack(retx_key(RetxKind::kSetup));
+    if (self.state_ == State::kCalling && alert.call_ref == self.call_ref_) {
+      self.enter(State::kRingback);
       // enter() bumped the epoch, so an answer or release invalidates this.
-      set_timer(config_.ringback_timeout,
-                make_cookie(kRingbackKind, epoch_));
-      if (on_ringback) on_ringback(call_ref_);
+      self.set_timer(self.config_.ringback_timeout,
+                     make_cookie(kRingbackKind, self.epoch_));
+      if (self.on_ringback) self.on_ringback(self.call_ref_);
     }
-    return;
-  }
-  if (const auto* conn = dynamic_cast<const Q931Connect*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kSetup));
-    if ((state_ == State::kRingback || state_ == State::kCalling) &&
-        conn->call_ref == call_ref_) {
-      net().spans().close(SpanKind::kOrigination, config_.imsi.value(),
-                          SpanOutcome::kOk, now());
-      remote_media_ = conn->media_address.ip();
-      enter(State::kConnected);
-      if (on_connected) on_connected(call_ref_);
-      if (voice_remaining_ > 0) send_voice_frame();
+  })
+  .on([](TrMobileStation& self, const Q931Connect& conn) {
+    self.retx_.ack(retx_key(RetxKind::kSetup));
+    if ((self.state_ == State::kRingback || self.state_ == State::kCalling) &&
+        conn.call_ref == self.call_ref_) {
+      self.net().spans().close(SpanKind::kOrigination,
+                               self.config_.imsi.value(), SpanOutcome::kOk,
+                               self.now());
+      self.remote_media_ = conn.media_address.ip();
+      self.enter(State::kConnected);
+      if (self.on_connected) self.on_connected(self.call_ref_);
+      if (self.voice_remaining_ > 0) self.send_voice_frame();
     }
-    return;
-  }
-  if (const auto* rel = dynamic_cast<const Q931ReleaseComplete*>(&inner)) {
-    retx_.ack(retx_key(RetxKind::kSetup));
-    if (rel->call_ref == call_ref_ && state_ != State::kIdle &&
-        state_ != State::kDetached && state_ != State::kAwaitDcf &&
-        state_ != State::kDeactivatingAfterCall) {
-      release_call(false, rel->cause);
+  })
+  .on([](TrMobileStation& self, const Q931ReleaseComplete& rel) {
+    self.retx_.ack(retx_key(RetxKind::kSetup));
+    if (rel.call_ref == self.call_ref_ && self.state_ != State::kIdle &&
+        self.state_ != State::kDetached && self.state_ != State::kAwaitDcf &&
+        self.state_ != State::kDeactivatingAfterCall) {
+      self.release_call(false, rel.cause);
     }
-    return;
-  }
-  if (const auto* rtp = dynamic_cast<const RtpPacket*>(&inner)) {
-    if (state_ == State::kConnected) {
-      ++voice_rx_;
-      voice_latency_.add(
-          SimDuration::micros(now().count_micros() - rtp->origin_us));
+  })
+  .on([](TrMobileStation& self, const RtpPacket& rtp) {
+    if (self.state_ == State::kConnected) {
+      ++self.voice_rx_;
+      self.voice_latency_.add(
+          SimDuration::micros(self.now().count_micros() - rtp.origin_us));
     }
-    return;
-  }
-
-  VG_DEBUG("tr-ms", name() << ": ignoring tunneled " << inner.name());
+  });
+  return table;
 }
 
 }  // namespace vgprs

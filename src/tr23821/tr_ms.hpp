@@ -99,6 +99,13 @@ class TrMobileStation final : public Node {
   std::function<void(CallRef)> on_released;
   std::function<void(std::string)> on_failure;
 
+  using Handlers = NodeHandlers<TrMobileStation>;
+  /// Wire type -> handler, one entry per message this node accepts.
+  static const Handlers& handler_table();
+  /// Tunnelled H.323/RTP messages, by inner wire type.
+  using TunnelHandlers = HandlerTable<TrMobileStation>;
+  static const TunnelHandlers& tunnel_table();
+
   void on_message(const Envelope& env) override;
   void on_timer(TimerId id, std::uint64_t cookie) override;
   /// Handset restart: everything is volatile; the subscriber has to power
@@ -139,6 +146,7 @@ class TrMobileStation final : public Node {
   void send_arq();
   void send_voice_frame();
   void release_call(bool notify_far_end, std::uint8_t cause);
+
   void handle_tunneled(const Message& inner);
 
   Config config_;

@@ -256,9 +256,9 @@ FsmTable vmsc_endpoint_table() {
        {"A_Location_Update_Reject"}},
       {n(P::kRasRegistering), "rrq_give_up", n(P::kNone),
        {"A_Location_Update_Reject"}},
-      // handle_gprs tears down the whole endpoint state on an attach
-      // reject in ANY phase (the SGSN is disowning the subscription), not
-      // just while the attach is outstanding.
+      // Vmsc::on_gprs_attach_reject tears down the whole endpoint state on
+      // an attach reject in ANY phase (the SGSN is disowning the
+      // subscription), not just while the attach is outstanding.
       {n(P::kActivatingSignaling), "GPRS_Attach_Reject", n(P::kNone)},
       {n(P::kRasRegistering), "GPRS_Attach_Reject", n(P::kNone)},
       {n(P::kReady), "GPRS_Attach_Reject", n(P::kNone)},

@@ -12,7 +12,7 @@
 //  * "pdp-context":    the GPRS data MS / PDP-context lifecycle
 //                      (GprsDataMs::State);
 //  * "handoff-anchor": the anchor MSC's inter-system handoff overlay
-//                      (Fig. 9 / MscBase::handle_handover, anchor role);
+//                      (Fig. 9 / MscBase handoff handlers, anchor role);
 //  * "handoff-target": the target MSC's reservation overlay (same code,
 //                      target role);
 //  * "tr-ms":          the TR 23.821 baseline handset

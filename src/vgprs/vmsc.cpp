@@ -394,64 +394,72 @@ void Vmsc::on_uplink_voice(MsContext& ctx, const VoiceFrameInfo& frame) {
                 config_.transcode_delay);
 }
 
-// --- GPRS control plane ---------------------------------------------------------------
+// --- tunneled H.323 signaling -------------------------------------------------------------
 
-bool Vmsc::handle_gprs(const Envelope& env) {
-  const Message& msg = *env.msg;
+void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
+                           const Message& inner) {
+  VgprsState& vs = vstate(imsi);
+  if (tunnel_table().dispatch(*this, inner, imsi, vs)) return;
+  VG_DEBUG("vmsc", name() << ": ignoring tunneled " << inner.name()
+                          << " from " << dgram.src.to_string());
+}
 
-  if (const auto* acc = dynamic_cast<const GprsAttachAccept*>(&msg)) {
-    retx().ack(retx_key(RetxKind::kGprsAttach, acc->imsi));
-    VgprsState& vs = vstate(acc->imsi);
-    if (vs.phase != VgprsState::Phase::kAttaching) return true;
+// --- dispatch ----------------------------------------------------------------------
+
+const MscBase::Handlers& Vmsc::handler_table() {
+  static const Handlers table = Handlers(MscBase::handler_table())
+  // GPRS control-plane handlers
+  .on([](Vmsc& self, const GprsAttachAccept& acc) {
+    self.retx().ack(retx_key(RetxKind::kGprsAttach, acc.imsi));
+    VgprsState& vs = self.vstate(acc.imsi);
+    if (vs.phase != VgprsState::Phase::kAttaching) return;
     vs.phase = VgprsState::Phase::kActivatingSignaling;
-    activate_signaling_context(acc->imsi);
-    return true;
-  }
-  if (const auto* rej = dynamic_cast<const GprsAttachReject*>(&msg)) {
-    retx().ack(retx_key(RetxKind::kGprsAttach, rej->imsi));
-    VG_WARN("vmsc", name() << ": GPRS attach rejected for "
-                           << rej->imsi.to_string());
-    if (MsContext* ctx = context(rej->imsi)) {
-      if (ctx->step == Step::kSubstrate) reject_registration(*ctx, 17);
+    self.activate_signaling_context(acc.imsi);
+  })
+  .on([](Vmsc& self, const GprsAttachReject& rej) {
+    self.retx().ack(retx_key(RetxKind::kGprsAttach, rej.imsi));
+    VG_WARN("vmsc", self.name() << ": GPRS attach rejected for "
+                                << rej.imsi.to_string());
+    if (MsContext* ctx = self.context(rej.imsi)) {
+      if (ctx->step == Step::kSubstrate) self.reject_registration(*ctx, 17);
     }
-    vgprs_states_.erase(rej->imsi);
-    return true;
-  }
-  if (const auto* acc = dynamic_cast<const ActivatePdpContextAccept*>(&msg)) {
-    retx().ack(retx_key(acc->nsapi == kVoiceNsapi
-                            ? RetxKind::kPdpActivateVoice
-                            : RetxKind::kPdpActivateSig,
-                        acc->imsi));
-    net().spans().close(SpanKind::kPdpActivation, acc->imsi.value(),
-                        SpanOutcome::kOk, now());
-    VgprsState& vs = vstate(acc->imsi);
-    if (acc->nsapi == kVoiceNsapi) {
+    self.vgprs_states_.erase(rej.imsi);
+  })
+  .on([](Vmsc& self, const ActivatePdpContextAccept& acc) {
+    self.retx().ack(retx_key(acc.nsapi == kVoiceNsapi
+                                 ? RetxKind::kPdpActivateVoice
+                                 : RetxKind::kPdpActivateSig,
+                             acc.imsi));
+    self.net().spans().close(SpanKind::kPdpActivation, acc.imsi.value(),
+                             SpanOutcome::kOk, self.now());
+    VgprsState& vs = self.vstate(acc.imsi);
+    if (acc.nsapi == kVoiceNsapi) {
       // The call may have been released while the activation was in
       // flight; a voice context without an active call is torn down
       // immediately, or it would leak until detach.
-      MsContext* ctx = context(acc->imsi);
+      MsContext* ctx = self.context(acc.imsi);
       if (ctx == nullptr || ctx->step != Step::kActive) {
-        deactivate_context(acc->imsi, kVoiceNsapi);
-        return true;
+        self.deactivate_context(acc.imsi, kVoiceNsapi);
+        return;
       }
-      vs.voice_ip = acc->address;
+      vs.voice_ip = acc.address;
       vs.voice_active = true;
-      return true;
+      return;
     }
-    vs.signaling_ip = acc->address;
+    vs.signaling_ip = acc.address;
     vs.signaling_active = true;
     vs.phase = VgprsState::Phase::kRasRegistering;
     // Step 1.4: end-point registration at the gatekeeper, through the
     // freshly activated signaling context.
     auto rrq = pool_message<RasRrq>();
     rrq->call_signal_address =
-        TransportAddress(vs.signaling_ip, config_.signal_port);
+        TransportAddress(vs.signaling_ip, self.config_.signal_port);
     rrq->alias = vs.alias;
-    send_tunneled(acc->imsi, vs.signaling_ip, config_.gk_ip, *rrq);
-    retx().arm(
-        retx_key(RetxKind::kRasRrq, acc->imsi),
-        [this, imsi = acc->imsi] {
-          VgprsState* st = vgprs_states_.find(imsi);
+    self.send_tunneled(acc.imsi, vs.signaling_ip, self.config_.gk_ip, *rrq);
+    self.retx().arm(
+        retx_key(RetxKind::kRasRrq, acc.imsi),
+        [&self, imsi = acc.imsi] {
+          VgprsState* st = self.vgprs_states_.find(imsi);
           if (st == nullptr ||
               st->phase != VgprsState::Phase::kRasRegistering ||
               !st->signaling_active) {
@@ -459,163 +467,149 @@ bool Vmsc::handle_gprs(const Envelope& env) {
           }
           auto again = pool_message<RasRrq>();
           again->call_signal_address =
-              TransportAddress(st->signaling_ip, config_.signal_port);
+              TransportAddress(st->signaling_ip, self.config_.signal_port);
           again->alias = st->alias;
-          send_tunneled(imsi, st->signaling_ip, config_.gk_ip, *again);
+          self.send_tunneled(imsi, st->signaling_ip, self.config_.gk_ip,
+                             *again);
         },
-        [this, imsi = acc->imsi] {
-          if (VgprsState* st = vgprs_states_.find(imsi);
+        [&self, imsi = acc.imsi] {
+          if (VgprsState* st = self.vgprs_states_.find(imsi);
               st != nullptr &&
               st->phase == VgprsState::Phase::kRasRegistering) {
             st->phase = VgprsState::Phase::kNone;
           }
-          if (MsContext* c = context(imsi)) {
-            if (c->step == Step::kSubstrate) reject_registration(*c, 17);
+          if (MsContext* c = self.context(imsi)) {
+            if (c->step == Step::kSubstrate) self.reject_registration(*c, 17);
           }
         });
-    return true;
-  }
-  if (const auto* rej = dynamic_cast<const ActivatePdpContextReject*>(&msg)) {
-    retx().ack(retx_key(rej->nsapi == kVoiceNsapi
-                            ? RetxKind::kPdpActivateVoice
-                            : RetxKind::kPdpActivateSig,
-                        rej->imsi));
-    net().spans().close(SpanKind::kPdpActivation, rej->imsi.value(),
-                        SpanOutcome::kRejected, now());
-    VG_WARN("vmsc", name() << ": PDP activation rejected for "
-                           << rej->imsi.to_string() << " cause "
-                           << static_cast<int>(rej->cause));
+  })
+  .on([](Vmsc& self, const ActivatePdpContextReject& rej) {
+    self.retx().ack(retx_key(rej.nsapi == kVoiceNsapi
+                                 ? RetxKind::kPdpActivateVoice
+                                 : RetxKind::kPdpActivateSig,
+                             rej.imsi));
+    self.net().spans().close(SpanKind::kPdpActivation, rej.imsi.value(),
+                             SpanOutcome::kRejected, self.now());
+    VG_WARN("vmsc", self.name() << ": PDP activation rejected for "
+                                << rej.imsi.to_string() << " cause "
+                                << static_cast<int>(rej.cause));
     // A signaling-context rejection ends the activation phase; leaving the
     // phase at kActivatingSignaling wedged every subsequent registration
     // for this IMSI (vgprs_verify deadlock finding).
-    if (rej->nsapi != kVoiceNsapi) {
-      if (VgprsState* st = vgprs_states_.find(rej->imsi);
+    if (rej.nsapi != kVoiceNsapi) {
+      if (VgprsState* st = self.vgprs_states_.find(rej.imsi);
           st != nullptr &&
           st->phase == VgprsState::Phase::kActivatingSignaling) {
         st->phase = VgprsState::Phase::kNone;
       }
     }
-    if (MsContext* ctx = context(rej->imsi)) {
-      if (ctx->step == Step::kSubstrate) reject_registration(*ctx, 17);
+    if (MsContext* ctx = self.context(rej.imsi)) {
+      if (ctx->step == Step::kSubstrate) self.reject_registration(*ctx, 17);
     }
-    return true;
-  }
-  if (const auto* acc =
-          dynamic_cast<const DeactivatePdpContextAccept*>(&msg)) {
-    retx().ack(retx_key(acc->nsapi == kVoiceNsapi
-                            ? RetxKind::kPdpDeactivateVoice
-                            : RetxKind::kPdpDeactivateSig,
-                        acc->imsi));
-    net().spans().close(SpanKind::kPdpDeactivation, acc->imsi.value(),
-                        SpanOutcome::kOk, now());
-    VgprsState& vs = vstate(acc->imsi);
-    if (acc->nsapi == kVoiceNsapi) {
+  })
+  .on([](Vmsc& self, const DeactivatePdpContextAccept& acc) {
+    self.retx().ack(retx_key(acc.nsapi == kVoiceNsapi
+                                 ? RetxKind::kPdpDeactivateVoice
+                                 : RetxKind::kPdpDeactivateSig,
+                             acc.imsi));
+    self.net().spans().close(SpanKind::kPdpDeactivation, acc.imsi.value(),
+                             SpanOutcome::kOk, self.now());
+    VgprsState& vs = self.vstate(acc.imsi);
+    if (acc.nsapi == kVoiceNsapi) {
       vs.voice_active = false;
       vs.voice_ip = IpAddress{};
     } else {
       vs.signaling_active = false;
       vs.signaling_ip = IpAddress{};
     }
-    return true;
-  }
-  if (const auto* acc = dynamic_cast<const GprsDetachAccept*>(&msg)) {
-    retx().ack(retx_key(RetxKind::kGprsDetach, acc->imsi));
-    return true;
-  }
-  if (const auto* frame = dynamic_cast<const GbUnitData*>(&msg)) {
-    auto decoded = MessageRegistry::instance().decode(frame->payload);
+  })
+  .on([](Vmsc& self, const GprsDetachAccept& acc) {
+    self.retx().ack(retx_key(RetxKind::kGprsDetach, acc.imsi));
+  })
+  .on([](Vmsc& self, const GbUnitData& frame) {
+    auto decoded = MessageRegistry::instance().decode(frame.payload);
     if (!decoded.ok()) {
-      VG_WARN("vmsc", name() << ": bad tunneled frame: "
-                             << decoded.error().to_string());
-      return true;
+      VG_WARN("vmsc", self.name() << ": bad tunneled frame: "
+                                  << decoded.error().to_string());
+      return;
     }
-    const auto* dgram =
-        dynamic_cast<const IpDatagram*>(decoded.value().get());
-    if (dgram == nullptr) return true;
+    const auto* dgram = message_cast<IpDatagram>(decoded.value().get());
+    if (dgram == nullptr) return;
     auto inner = ip_payload(*dgram);
     if (!inner.ok()) {
-      VG_WARN("vmsc", name() << ": bad tunneled payload: "
-                             << inner.error().to_string());
-      return true;
+      VG_WARN("vmsc", self.name() << ": bad tunneled payload: "
+                                  << inner.error().to_string());
+      return;
     }
-    handle_tunneled(frame->imsi, *dgram, *inner.value());
-    return true;
-  }
-
-  return false;
+    self.handle_tunneled(frame.imsi, *dgram, *inner.value());
+  });
+  return table;
 }
 
-// --- tunneled H.323 signaling -------------------------------------------------------------
-
-void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
-                           const Message& inner) {
-  VgprsState& vs = vstate(imsi);
-
-  if (const auto* rcf = dynamic_cast<const RasRcf*>(&inner)) {
-    retx().ack(retx_key(RetxKind::kRasRrq, imsi));
-    vs.endpoint_id = rcf->endpoint_id;
+const Vmsc::TunnelHandlers& Vmsc::tunnel_table() {
+  static const TunnelHandlers table = TunnelHandlers{}
+  .on([](Vmsc& self, const RasRcf& rcf, Imsi imsi, VgprsState& vs) {
+    self.retx().ack(retx_key(RetxKind::kRasRrq, imsi));
+    vs.endpoint_id = rcf.endpoint_id;
     vs.phase = VgprsState::Phase::kReady;
-    MsContext* ctx = context(imsi);
+    MsContext* ctx = self.context(imsi);
     if (ctx != nullptr && ctx->step == Step::kSubstrate) {
       // Step 1.5 done: MM and PDP contexts recorded, complete step 1.6.
-      finish_registration(*ctx);
-      if (config_.deactivate_pdp_when_idle) {
-        deactivate_context(imsi, kSignalingNsapi);
+      self.finish_registration(*ctx);
+      if (self.config_.deactivate_pdp_when_idle) {
+        self.deactivate_context(imsi, kSignalingNsapi);
       }
     }
     if (vs.mo_pending && ctx != nullptr) {
       vs.mo_pending = false;
-      send_arq_for_mo(*ctx, vs);
+      self.send_arq_for_mo(*ctx, vs);
     }
-    if (on_endpoint_ready) on_endpoint_ready(imsi);
-    return;
-  }
-  if (const auto* rrj = dynamic_cast<const RasRrj*>(&inner)) {
-    retx().ack(retx_key(RetxKind::kRasRrq, imsi));
-    VG_WARN("vmsc", name() << ": RAS registration rejected, cause "
-                           << static_cast<int>(rrj->cause));
+    if (self.on_endpoint_ready) self.on_endpoint_ready(imsi);
+  })
+  .on([](Vmsc& self, const RasRrj& rrj, Imsi imsi, VgprsState& vs) {
+    self.retx().ack(retx_key(RetxKind::kRasRrq, imsi));
+    VG_WARN("vmsc", self.name() << ": RAS registration rejected, cause "
+                                << static_cast<int>(rrj.cause));
     if (vs.phase == VgprsState::Phase::kRasRegistering) {
       vs.phase = VgprsState::Phase::kNone;
     }
-    if (MsContext* ctx = context(imsi)) {
-      if (ctx->step == Step::kSubstrate) reject_registration(*ctx, 17);
+    if (MsContext* ctx = self.context(imsi)) {
+      if (ctx->step == Step::kSubstrate) self.reject_registration(*ctx, 17);
     }
-    return;
-  }
-
-  if (const auto* acf = dynamic_cast<const RasAcf*>(&inner)) {
-    retx().ack(retx_key(RetxKind::kRasArq, imsi));
-    MsContext* ctx = context(imsi);
+  })
+  .on([](Vmsc& self, const RasAcf& acf, Imsi imsi, VgprsState& vs) {
+    self.retx().ack(retx_key(RetxKind::kRasArq, imsi));
+    MsContext* ctx = self.context(imsi);
     if (ctx == nullptr) return;
     if (vs.awaiting_admission) {
       // Step 4.3 complete: begin GSM-side delivery (paging, step 4.4).
       vs.awaiting_admission = false;
-      if (!start_mt_call(imsi, vs.mt_calling, vs.mt_call_ref)) {
+      if (!self.start_mt_call(imsi, vs.mt_calling, vs.mt_call_ref)) {
         auto rel = pool_message<Q931ReleaseComplete>();
         rel->call_ref = vs.mt_call_ref;
         rel->cause = 17;  // busy
-        send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *rel);
+        self.send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *rel);
       }
       return;
     }
     if (ctx->proc == Proc::kMoCall) {
       // Step 2.3 complete: the gatekeeper supplied the destination call
       // signaling address; send the Q.931 Setup (step 2.4).
-      vs.remote_signal = acf->dest_call_signal_address.ip();
+      vs.remote_signal = acf.dest_call_signal_address.ip();
       auto setup = pool_message<Q931Setup>();
       setup->call_ref = ctx->call_ref;
       setup->calling = ctx->calling;
       setup->called = ctx->called;
       setup->src_signal_address =
-          TransportAddress(vs.signaling_ip, config_.signal_port);
+          TransportAddress(vs.signaling_ip, self.config_.signal_port);
       setup->media_address =
-          TransportAddress(vs.signaling_ip, config_.media_port);
-      send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *setup);
-      retx().arm(
+          TransportAddress(vs.signaling_ip, self.config_.media_port);
+      self.send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *setup);
+      self.retx().arm(
           retx_key(RetxKind::kQ931Setup, imsi),
-          [this, imsi] {
-            MsContext* c = context(imsi);
-            VgprsState* st = vgprs_states_.find(imsi);
+          [&self, imsi] {
+            MsContext* c = self.context(imsi);
+            VgprsState* st = self.vgprs_states_.find(imsi);
             if (c == nullptr || st == nullptr ||
                 c->proc != Proc::kMoCall ||
                 c->step != Step::kMoProgress ||
@@ -627,91 +621,86 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
             again->calling = c->calling;
             again->called = c->called;
             again->src_signal_address =
-                TransportAddress(st->signaling_ip, config_.signal_port);
+                TransportAddress(st->signaling_ip, self.config_.signal_port);
             again->media_address =
-                TransportAddress(st->signaling_ip, config_.media_port);
-            send_tunneled(imsi, st->signaling_ip, st->remote_signal,
-                          *again);
+                TransportAddress(st->signaling_ip, self.config_.media_port);
+            self.send_tunneled(imsi, st->signaling_ip, st->remote_signal,
+                               *again);
           },
-          [this, imsi] {
-            if (MsContext* c = context(imsi)) {
+          [&self, imsi] {
+            if (MsContext* c = self.context(imsi)) {
               if (c->proc == Proc::kMoCall && c->step != Step::kActive) {
-                reject_mo_call(*c, ClearCause::kNetworkFailure);
+                self.reject_mo_call(*c, ClearCause::kNetworkFailure);
               }
             }
           });
     }
-    return;
-  }
-  if (const auto* arj = dynamic_cast<const RasArj*>(&inner)) {
-    retx().ack(retx_key(RetxKind::kRasArq, imsi));
-    MsContext* ctx = context(imsi);
+  })
+  .on([](Vmsc& self, const RasArj& arj, Imsi imsi, VgprsState& vs) {
+    self.retx().ack(retx_key(RetxKind::kRasArq, imsi));
+    MsContext* ctx = self.context(imsi);
     if (ctx == nullptr) return;
     if (vs.awaiting_admission) {
       vs.awaiting_admission = false;
       auto rel = pool_message<Q931ReleaseComplete>();
       rel->call_ref = vs.mt_call_ref;
       rel->cause = 47;
-      send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *rel);
+      self.send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *rel);
       return;
     }
     if (ctx->proc == Proc::kMoCall) {
-      VG_INFO("vmsc", name() << ": admission rejected, cause "
-                             << static_cast<int>(arj->cause));
-      reject_mo_call(*ctx, ClearCause::kCallRejected);
+      VG_INFO("vmsc", self.name() << ": admission rejected, cause "
+                                  << static_cast<int>(arj.cause));
+      self.reject_mo_call(*ctx, ClearCause::kCallRejected);
     }
-    return;
-  }
-  if (dynamic_cast<const RasDcf*>(&inner) != nullptr) {
-    retx().ack(retx_key(RetxKind::kRasDrq, imsi));
+  })
+  .on([](Vmsc& self, const RasDcf&, Imsi imsi, VgprsState& vs) {
+    self.retx().ack(retx_key(RetxKind::kRasDrq, imsi));
     if (vs.pending_drq_deactivate) {
       // Step 3.4: deactivate the per-call voice PDP context.
       vs.pending_drq_deactivate = false;
-      deactivate_context(imsi, kVoiceNsapi);
+      self.deactivate_context(imsi, kVoiceNsapi);
     }
-    return;
-  }
-  if (dynamic_cast<const RasUcf*>(&inner) != nullptr) {
-    retx().ack(retx_key(RetxKind::kRasUrq, imsi));
-    if (vs.pending_detach) detach_and_forget(imsi);
-    return;
-  }
-
-  if (const auto* setup = dynamic_cast<const Q931Setup*>(&inner)) {
+  })
+  .on([](Vmsc& self, const RasUcf&, Imsi imsi, VgprsState& vs) {
+    self.retx().ack(retx_key(RetxKind::kRasUrq, imsi));
+    if (vs.pending_detach) self.detach_and_forget(imsi);
+  })
+  .on([](Vmsc& self, const Q931Setup& setup, Imsi imsi, VgprsState& vs) {
     // Step 4.2: an incoming H.323 call reached the MS's signaling context.
-    MsContext* ctx = context(imsi);
+    MsContext* ctx = self.context(imsi);
     auto busy = [&] {
       auto rel = pool_message<Q931ReleaseComplete>();
-      rel->call_ref = setup->call_ref;
+      rel->call_ref = setup.call_ref;
       rel->cause = 17;
-      send_tunneled(imsi, vs.signaling_ip, setup->src_signal_address.ip(),
-                    *rel);
+      self.send_tunneled(imsi, vs.signaling_ip, setup.src_signal_address.ip(),
+                         *rel);
     };
     if (ctx == nullptr || !ctx->registered || ctx->proc != Proc::kNone ||
         vs.phase != VgprsState::Phase::kReady) {
       busy();
       return;
     }
-    vs.remote_signal = setup->src_signal_address.ip();
-    vs.remote_media = setup->media_address.ip();
-    vs.mt_calling = setup->calling;
-    vs.mt_call_ref = setup->call_ref;
+    vs.remote_signal = setup.src_signal_address.ip();
+    vs.remote_media = setup.media_address.ip();
+    vs.mt_calling = setup.calling;
+    vs.mt_call_ref = setup.call_ref;
     auto proceed = pool_message<Q931CallProceeding>();
-    proceed->call_ref = setup->call_ref;
-    send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *proceed);
+    proceed->call_ref = setup.call_ref;
+    self.send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *proceed);
     // Step 4.3: admission for the terminating leg.
     vs.awaiting_admission = true;
     auto arq = pool_message<RasArq>();
     arq->endpoint_id = vs.endpoint_id;
-    arq->call_ref = setup->call_ref;
-    arq->calling = setup->calling;
+    arq->call_ref = setup.call_ref;
+    arq->calling = setup.calling;
     arq->called = vs.alias;
     arq->answer_call = true;
-    send_tunneled(imsi, vs.signaling_ip, config_.gk_ip, *arq);
-    retx().arm(
+    self.send_tunneled(imsi, vs.signaling_ip, self.config_.gk_ip, *arq);
+    self.retx().arm(
         retx_key(RetxKind::kRasArq, imsi),
-        [this, imsi] {
-          VgprsState* st = vgprs_states_.find(imsi);
+        [&self, imsi] {
+          VgprsState* st = self.vgprs_states_.find(imsi);
           if (st == nullptr || !st->awaiting_admission ||
               !st->signaling_active) {
             return;
@@ -722,86 +711,78 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
           again->calling = st->mt_calling;
           again->called = st->alias;
           again->answer_call = true;
-          send_tunneled(imsi, st->signaling_ip, config_.gk_ip, *again);
+          self.send_tunneled(imsi, st->signaling_ip, self.config_.gk_ip,
+                             *again);
         },
-        [this, imsi] {
+        [&self, imsi] {
           // No admission decision: tell the caller the leg failed; no GSM
           // resources were committed yet (paging starts only at the ACF).
-          VgprsState* st = vgprs_states_.find(imsi);
+          VgprsState* st = self.vgprs_states_.find(imsi);
           if (st == nullptr || !st->awaiting_admission) return;
           st->awaiting_admission = false;
           auto rel = pool_message<Q931ReleaseComplete>();
           rel->call_ref = st->mt_call_ref;
           rel->cause = 47;
-          send_tunneled(imsi, st->signaling_ip, st->remote_signal, *rel);
+          self.send_tunneled(imsi, st->signaling_ip, st->remote_signal, *rel);
         });
-    return;
-  }
-  if (dynamic_cast<const Q931CallProceeding*>(&inner) != nullptr) {
-    retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
-    return;  // step 2.4 response; informational
-  }
-  if (const auto* alert = dynamic_cast<const Q931Alerting*>(&inner)) {
-    retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
+  })
+  .on([](Vmsc& self, const Q931CallProceeding&, Imsi imsi, VgprsState&) {
+    self.retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
+    // step 2.4 response; informational
+  })
+  .on([](Vmsc& self, const Q931Alerting& alert, Imsi imsi, VgprsState&) {
+    self.retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
     // Step 2.6 -> 2.7: ring-back toward the MS.  Tunneled messages are
     // dispatched by the subscriber the datagram was addressed to: two call
     // legs may legitimately share one H.225 call reference (e.g. an
     // MS-to-MS call hairpinning at the GGSN).
-    MsContext* ctx = context(imsi);
+    MsContext* ctx = self.context(imsi);
     if (ctx != nullptr && ctx->proc == Proc::kMoCall &&
-        ctx->step == Step::kMoProgress && alert->call_ref == ctx->call_ref) {
-      notify_mo_alerting(*ctx);
+        ctx->step == Step::kMoProgress && alert.call_ref == ctx->call_ref) {
+      self.notify_mo_alerting(*ctx);
     }
-    return;
-  }
-  if (const auto* conn = dynamic_cast<const Q931Connect*>(&inner)) {
-    retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
+  })
+  .on([](Vmsc& self, const Q931Connect& conn, Imsi imsi, VgprsState& vs) {
+    self.retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
     // Step 2.8: answer; step 2.9: activate the voice context.
-    MsContext* ctx = context(imsi);
+    MsContext* ctx = self.context(imsi);
     // Answer racing a local release (the MS hung up while the Connect was
     // in flight) must not resurrect the call: only an MO call still in
     // progress may transition to active.
     if (ctx == nullptr || ctx->proc != Proc::kMoCall ||
-        ctx->step != Step::kMoProgress || conn->call_ref != ctx->call_ref) {
+        ctx->step != Step::kMoProgress || conn.call_ref != ctx->call_ref) {
       return;
     }
-    vs.remote_media = conn->media_address.ip();
-    notify_mo_connect(*ctx);
-    activate_voice_context(imsi);
-    return;
-  }
-  if (const auto* rel = dynamic_cast<const Q931ReleaseComplete*>(&inner)) {
-    retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
-    MsContext* ctx = context(imsi);
-    if (ctx != nullptr && rel->call_ref != ctx->call_ref) ctx = nullptr;
+    vs.remote_media = conn.media_address.ip();
+    self.notify_mo_connect(*ctx);
+    self.activate_voice_context(imsi);
+  })
+  .on([](Vmsc& self, const Q931ReleaseComplete& rel, Imsi imsi,
+         VgprsState& vs) {
+    self.retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
+    MsContext* ctx = self.context(imsi);
+    if (ctx != nullptr && rel.call_ref != ctx->call_ref) ctx = nullptr;
     if (ctx == nullptr || ctx->proc == Proc::kNone) return;
     if (ctx->step == Step::kReleasingMs || ctx->step == Step::kReleasingNet ||
         ctx->step == Step::kClearing) {
       return;  // already clearing
     }
-    release_from_network(*ctx, static_cast<ClearCause>(rel->cause));
+    self.release_from_network(*ctx, static_cast<ClearCause>(rel.cause));
     auto drq = pool_message<RasDrq>();
     drq->endpoint_id = vs.endpoint_id;
-    drq->call_ref = rel->call_ref;
-    send_tunneled(imsi, vs.signaling_ip, config_.gk_ip, *drq);
+    drq->call_ref = rel.call_ref;
+    self.send_tunneled(imsi, vs.signaling_ip, self.config_.gk_ip, *drq);
     vs.pending_drq_deactivate = vs.voice_active;
-    arm_drq(imsi, rel->call_ref);
-    return;
-  }
-
-  if (const auto* rtp = dynamic_cast<const RtpPacket*>(&inner)) {
-    MsContext* ctx = context(imsi);
+    self.arm_drq(imsi, rel.call_ref);
+  })
+  .on([](Vmsc& self, const RtpPacket& rtp, Imsi imsi, VgprsState&) {
+    MsContext* ctx = self.context(imsi);
     if (ctx != nullptr && ctx->step == Step::kActive) {
-      send_downlink_voice(*ctx, rtp->seq, rtp->origin_us,
-                          config_.transcode_delay);
+      self.send_downlink_voice(*ctx, rtp.seq, rtp.origin_us,
+                               self.config_.transcode_delay);
     }
-    return;
-  }
-
-  VG_DEBUG("vmsc", name() << ": ignoring tunneled " << inner.name()
-                          << " from " << dgram.src.to_string());
+  });
+  return table;
 }
-
-bool Vmsc::on_unhandled(const Envelope& env) { return handle_gprs(env); }
 
 }  // namespace vgprs

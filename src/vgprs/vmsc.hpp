@@ -76,8 +76,17 @@ class Vmsc : public MscBase {
     bool pending_detach = false;  // GPRS detach deferred until the UCF
   };
 
+  /// MscBase's table extended with the GPRS control plane and the Gb
+  /// frames that carry tunnelled H.323.
+  static const Handlers& handler_table();
+  /// Tunnelled H.323/RTP messages, by inner wire type, for the subscriber
+  /// the datagram was addressed to.
+  using TunnelHandlers = HandlerTable<Vmsc, Imsi, VgprsState&>;
+  static const TunnelHandlers& tunnel_table();
+
   Vmsc(std::string name, VmscConfig config)
-      : MscBase(std::move(name), config.base), config_(std::move(config)) {}
+      : MscBase(std::move(name), config.base, handler_table()),
+        config_(std::move(config)) {}
 
   [[nodiscard]] const VgprsState* vgprs_state(Imsi imsi) const;
   [[nodiscard]] std::size_t ready_count() const;
@@ -104,7 +113,6 @@ class Vmsc : public MscBase {
   void on_call_aborted(MsContext& ctx) override;
   void on_subscriber_removed(const MsContext& ctx) override;
   void on_uplink_voice(MsContext& ctx, const VoiceFrameInfo& frame) override;
-  bool on_unhandled(const Envelope& env) override;
 
  private:
   [[nodiscard]] NodeId sgsn() const;
@@ -128,9 +136,7 @@ class Vmsc : public MscBase {
   void deactivate_context(Imsi imsi, Nsapi nsapi);
   void send_arq_for_mo(MsContext& ctx, VgprsState& vs);
 
-  // GPRS control-plane handlers
-  bool handle_gprs(const Envelope& env);
-  // Tunneled H.323 handlers
+  // Tunneled H.323 signaling: dispatches on the inner wire type.
   void handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
                        const Message& inner);
 

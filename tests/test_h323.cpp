@@ -155,6 +155,41 @@ TEST_F(H323Test, ChargingRecordsOpenAndClose) {
   EXPECT_EQ(rec.called, Msisdn(880900001002ULL, 12));
 }
 
+// The charging log keeps the newest kCallLogCapacity records, so its size
+// does not grow with the length of a run; a DRQ for a call whose record
+// was evicted still releases the call.
+TEST_F(H323Test, ChargingLogKeepsNewestRecords) {
+  term_b_->register_endpoint();
+  net_->run_until_idle();
+  const auto to_gk = [&](const Message& ras) {
+    net_->send(term_a_->id(), router_->id(),
+               make_ip_datagram(term_a_->ip(), gk_->ip(), ras));
+  };
+  const std::uint32_t calls = Gatekeeper::kCallLogCapacity + 2;
+  for (std::uint32_t c = 1; c <= calls; ++c) {
+    RasArq arq;
+    arq.call_ref = CallRef(c);
+    arq.calling = Msisdn(880900001001ULL, 12);
+    arq.called = Msisdn(880900001002ULL, 12);
+    to_gk(arq);
+  }
+  net_->run_until_idle();
+  ASSERT_EQ(gk_->call_records().size(), Gatekeeper::kCallLogCapacity);
+  EXPECT_EQ(gk_->call_records().front().call_ref, CallRef(3));
+  EXPECT_EQ(gk_->open_calls(), calls);
+
+  for (std::uint32_t c : {1u, calls}) {
+    RasDrq drq;
+    drq.call_ref = CallRef(c);
+    to_gk(drq);
+  }
+  net_->run_until_idle();
+  EXPECT_EQ(gk_->open_calls(), calls - 2);
+  EXPECT_EQ(gk_->call_records().size(), Gatekeeper::kCallLogCapacity);
+  EXPECT_TRUE(gk_->call_records().front().open);
+  EXPECT_FALSE(gk_->call_records().back().open);
+}
+
 TEST_F(H323Test, UnknownAliasRejected) {
   term_a_->register_endpoint();
   net_->run_until_idle();
